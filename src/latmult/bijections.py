@@ -2,7 +2,7 @@
 plus the half-swap pairing that factors admissible sequences into ordered
 pairs of self-conjugate ones of the same type."""
 
-from latmult.admissibility import is_admissible, sequence_type
+from latmult.admissibility import _require_type, _type_of
 from latmult.paths import LatticePath, PathSequence, is_self_conjugate, reflected_moves
 from latmult.tableaux import StandardTableau
 
@@ -26,7 +26,7 @@ def tau(x: StandardTableau, k: int) -> PathSequence:
         half = "".join("U" if 2 <= row_of[v] <= i + 1 else "R" for v in range(1, ell + 1))
         paths.append(LatticePath(half + reflected_moves(half)))
     z = PathSequence(tuple(paths))
-    if not is_admissible(z):
+    if _type_of(z) is None:
         raise RuntimeError(f"internal error: inadmissible image for tableau {x.rows!r}")
     return z
 
@@ -39,15 +39,11 @@ def sigma(z: PathSequence) -> StandardTableau:
     """
     if not is_self_conjugate(z):
         raise ValueError("sigma needs a self-conjugate sequence")
-    lam = sequence_type(z)  # also rejects inadmissible input
+    lam = _require_type(z)  # also rejects inadmissible input
     raw: list[list[int]] = [[] for _ in range(z.k)]
     for v in range(1, z.ell + 1):
-        row = 1
-        for m, p in enumerate(z.paths, start=1):
-            if p.moves[v - 1] == "U":
-                row = m + 1
-                break
-        raw[row - 1].append(v)
+        row = next((m for m, p in enumerate(z.paths, start=1) if p.moves[v - 1] == "U"), 0)
+        raw[row].append(v)
     rows = tuple(tuple(r) for r in raw if r)
     try:
         result = StandardTableau(rows)
@@ -64,16 +60,13 @@ def split(z: PathSequence) -> tuple[PathSequence, PathSequence]:
     The first output keeps the below-diagonal halves, the second the
     above-diagonal halves; both have the type of z.
     """
-    lam = sequence_type(z)
+    lam = _require_type(z)
     ell = z.ell
-    first = PathSequence(
-        tuple(LatticePath(p.moves[:ell] + reflected_moves(p.moves[:ell])) for p in z.paths)
-    )
-    second = PathSequence(
-        tuple(LatticePath(reflected_moves(p.moves[ell:]) + p.moves[ell:]) for p in z.paths)
-    )
+    halves = [(p.moves[:ell], p.moves[ell:]) for p in z.paths]
+    first = PathSequence(tuple(LatticePath(lo + reflected_moves(lo)) for lo, _ in halves))
+    second = PathSequence(tuple(LatticePath(reflected_moves(hi) + hi) for _, hi in halves))
     for part in (first, second):
-        if not is_self_conjugate(part) or sequence_type(part) != lam:
+        if not is_self_conjugate(part) or _type_of(part) != lam:
             raise RuntimeError("internal error: split output failed validation")
     return first, second
 
@@ -86,13 +79,13 @@ def join(z1: PathSequence, z2: PathSequence) -> PathSequence:
     for z in (z1, z2):
         if not is_self_conjugate(z):
             raise ValueError("join needs self-conjugate inputs")
-    type1, type2 = sequence_type(z1), sequence_type(z2)
+    type1, type2 = _require_type(z1), _require_type(z2)
     if type1 != type2:
         raise ValueError(f"join is only defined within one type class: {type1} vs {type2}")
     ell = z1.ell
     out = PathSequence(
         tuple(LatticePath(p.moves[:ell] + q.moves[ell:]) for p, q in zip(z1.paths, z2.paths))
     )
-    if sequence_type(out) != type1:
+    if _type_of(out) != type1:
         raise RuntimeError("internal error: join output failed validation")
     return out

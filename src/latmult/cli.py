@@ -1,11 +1,13 @@
 """Batch command line front end with stable, machine-readable output.
 
 Exit codes: 0 success (verify: all checks passed), 1 verification failure,
-2 usage or input error, 3 resource guard rejection.
+2 usage or input error, 3 resource guard rejection, 4 internal error (one
+stderr line), 141 quietly when the reader closes stdout early (as SIGPIPE).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from latmult import serialize
@@ -21,6 +23,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -54,31 +58,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     per_shape_columns = ("TSV columns with --per-shape: lambda, f, f_squared, "
                          "brute_admissible, brute_self_conjugate.")
-    paths = what.add_parser(
-        "paths",
-        help="admissible nested path sequences",
-        epilog=per_shape_columns,
-    )
-    paths.add_argument("--ell", type=int, required=True, help="square size")
-    paths.add_argument("--k", type=int, required=True, help="one more than the path count")
-    paths.add_argument("--method", choices=["brute", "formula"], default="formula")
-    paths.add_argument("--per-shape", action="store_true",
-                       help="per-type table with formula and enumeration columns")
-    _add_common(paths)
-    paths.set_defaults(handler=cmd_count_paths, self_conjugate=False, default_format="tsv")
-
-    fixed = what.add_parser(
-        "self-conjugate",
-        help="reflection-fixed admissible sequences",
-        epilog=per_shape_columns,
-    )
-    fixed.add_argument("--ell", type=int, required=True, help="square size")
-    fixed.add_argument("--k", type=int, required=True, help="one more than the path count")
-    fixed.add_argument("--method", choices=["brute", "formula"], default="formula")
-    fixed.add_argument("--per-shape", action="store_true",
-                       help="per-type table with formula and enumeration columns")
-    _add_common(fixed)
-    fixed.set_defaults(handler=cmd_count_paths, self_conjugate=True, default_format="tsv")
+    for name, summary, self_conjugate in (
+        ("paths", "admissible nested path sequences", False),
+        ("self-conjugate", "reflection-fixed admissible sequences", True),
+    ):
+        verb = what.add_parser(name, help=summary, epilog=per_shape_columns)
+        verb.add_argument("--ell", type=int, required=True, help="square size")
+        verb.add_argument("--k", type=int, required=True, help="one more than the path count")
+        verb.add_argument("--method", choices=["brute", "formula"], default="formula")
+        verb.add_argument("--per-shape", action="store_true",
+                          help="per-type table with formula and enumeration columns")
+        _add_common(verb)
+        verb.set_defaults(handler=cmd_count_paths, self_conjugate=self_conjugate,
+                          default_format="tsv")
 
     avoid = what.add_parser("avoiders", help="permutations with bounded decreasing runs")
     avoid.add_argument("--ell", type=int, required=True, help="word length")
@@ -280,7 +272,9 @@ def main(argv=None) -> int:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -291,6 +285,16 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # send what is still buffered nowhere, so the exit flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    except Exception as exc:
+        first_line = str(exc).partition("\n")[0]
+        print(f"internal error: {type(exc).__name__}: {first_line}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -3,21 +3,20 @@
 Naively filtering all (k-1)-tuples of paths dies quickly: the tuple space
 grows like binomial(2*ell, ell)**(k-1). Instead paths are grown depth first,
 move by move, and every defining condition is checked the instant the moves
-determining it are fixed.
+determining it are fixed: band tallies are differences of up-move prefix
+counts (see the paths module docstring), so move m = ell + j fixes each
+band's tally on color j.
 
-The key fact making that possible: after m moves a path sits on the
-(m - ell)-diagonal, and the number of boxes of color j = m - ell below a
-path equals its up-move count at move ell + j, minus max(j, 0). Band
-tallies are therefore differences of up-move prefix counts, so each color's
-conditions can be tested as soon as all paths have taken ell + j moves.
+The search hands raw move strings to its visitor. Counting needs nothing
+more; only the enumerate_* wrappers build PathSequence objects.
 """
 
 from typing import Callable
 
-from latmult.admissibility import sequence_type
+from latmult.admissibility import _band_fits, _type_parts
 from latmult.guards import check_guard
 from latmult.partitions import Partition, partitions_of
-from latmult.paths import LatticePath, PathSequence, is_self_conjugate
+from latmult.paths import LatticePath, PathSequence, reflected_moves
 
 GUARD_ELL = 6
 GUARD_K = 5
@@ -31,6 +30,7 @@ def _check_args(ell: int, k: int) -> None:
 
 
 def _check_size(ell: int, k: int, allow_large: bool) -> None:
+    _check_args(ell, k)
     check_guard(
         ell <= GUARD_ELL and k <= GUARD_K,
         allow_large,
@@ -38,8 +38,9 @@ def _check_size(ell: int, k: int, allow_large: bool) -> None:
     )
 
 
-def visit_admissible(ell: int, k: int, visit: Callable[[PathSequence], None]) -> None:
-    """Stream every admissible sequence to visit, in canonical order.
+def visit_admissible(ell: int, k: int, visit: Callable[[tuple[str, ...]], None]) -> None:
+    """Stream every admissible sequence to visit as its tuple of move
+    strings, first path first, in canonical order.
 
     Canonical order is lexicographic on the concatenated move strings, which
     the search produces directly by growing paths in index order and trying
@@ -51,10 +52,10 @@ def visit_admissible(ell: int, k: int, visit: Callable[[PathSequence], None]) ->
     n_colors = total - 1
     finished: list[str] = []
 
-    def grow_path(i: int, prev_up, band_prev, band_one, cum) -> None:
+    def grow_path(i: int, prev_up, band_prev, room) -> None:
         # i: 1-based path index. prev_up: up-move prefix counts of path i-1.
-        # band_prev / band_one: color tallies of band i-1 and band 1.
-        # cum[jx]: sum of tallies of bands 1..i-1 at color index jx.
+        # band_prev: color tallies of band i-1. room[jx]: the budget band i
+        # may spend on color index jx (see _band_fits).
         moves = [""] * total
         ups = [0] * (total + 1)
         band_cur = [0] * n_colors
@@ -63,24 +64,16 @@ def visit_admissible(ell: int, k: int, visit: Callable[[PathSequence], None]) ->
             if m > total:
                 finished.append("".join(moves))
                 if i == k - 1:
-                    visit(PathSequence(tuple(LatticePath(s) for s in finished)))
+                    visit(tuple(finished))
                 else:
-                    new_cum = tuple(a + b for a, b in zip(cum, band_cur))
-                    grow_path(
-                        i + 1,
-                        tuple(ups),
-                        tuple(band_cur),
-                        band_one if i > 1 else tuple(band_cur),
-                        new_cum,
-                    )
+                    paid = 2 if i == 1 else 1  # band 1 counts twice in every budget
+                    next_room = tuple(r - paid * t for r, t in zip(room, band_cur))
+                    grow_path(i + 1, tuple(ups), tuple(band_cur), next_room)
                 finished.pop()
                 return
             before = ups[m - 1]
             for mv, u in (("R", before), ("U", before + 1)):
-                if mv == "R":
-                    if m - u > ell:
-                        continue
-                elif u > ell:
+                if u > ell or m - u > ell:  # up or right moves exhausted
                     continue
                 if i == 1:
                     if 2 * u > m:  # first path may not cross the anti-diagonal
@@ -88,21 +81,14 @@ def visit_admissible(ell: int, k: int, visit: Callable[[PathSequence], None]) ->
                 elif u < prev_up[m]:  # nesting above the previous path
                     continue
                 if m < total:
-                    # move m fixes this path's tally for color j = m - ell
-                    j = m - ell
+                    # move m fixes this path's band tally on color j = m - ell
                     jx = m - 1
                     if i == 1:
-                        t = u - j if j > 0 else u
+                        t = u - max(m - ell, 0)
                     else:
                         t = u - prev_up[m]
-                        if t > band_prev[jx]:
-                            continue
-                        if t > ell - abs(j) - band_one[jx] - cum[jx]:
-                            continue
-                        if j <= 0:
-                            if m > 1 and band_cur[jx - 1] > t:
-                                continue
-                        elif t > band_cur[jx - 1]:
+                        left = band_cur[jx - 1] if jx else 0
+                        if not _band_fits(m - ell, t, left, band_prev[jx], room[jx]):
                             continue
                     band_cur[jx] = t
                 moves[m - 1] = mv
@@ -111,27 +97,38 @@ def visit_admissible(ell: int, k: int, visit: Callable[[PathSequence], None]) ->
 
         step(1)
 
-    grow_path(1, (), (), (), (0,) * n_colors)
+    try:
+        grow_path(1, (), (), tuple(ell - abs(jx - ell + 1) for jx in range(n_colors)))
+    finally:
+        # the recursive closures above are cycles that only the cycle
+        # collector frees; they must not keep the caller's results alive
+        visit = None
+
+
+def _sequence(moves: tuple[str, ...]) -> PathSequence:
+    return PathSequence(tuple(LatticePath(s) for s in moves))
+
+
+def _self_conjugate(moves: tuple[str, ...]) -> bool:
+    return all(s == reflected_moves(s) for s in moves)
 
 
 def enumerate_admissible(ell: int, k: int, *, allow_large: bool = False) -> list[PathSequence]:
     """Every admissible sequence of k-1 nested paths, canonically ordered."""
-    _check_args(ell, k)
     _check_size(ell, k, allow_large)
     out: list[PathSequence] = []
-    visit_admissible(ell, k, out.append)
+    visit_admissible(ell, k, lambda moves: out.append(_sequence(moves)))
     return out
 
 
 def enumerate_self_conjugate(ell: int, k: int, *, allow_large: bool = False) -> list[PathSequence]:
     """The reflection-fixed subset of enumerate_admissible, same order."""
-    _check_args(ell, k)
     _check_size(ell, k, allow_large)
     out: list[PathSequence] = []
 
-    def keep(z: PathSequence) -> None:
-        if is_self_conjugate(z):
-            out.append(z)
+    def keep(moves: tuple[str, ...]) -> None:
+        if _self_conjugate(moves):
+            out.append(_sequence(moves))
 
     visit_admissible(ell, k, keep)
     return out
@@ -139,15 +136,13 @@ def enumerate_self_conjugate(ell: int, k: int, *, allow_large: bool = False) -> 
 
 def count_sequences(ell: int, k: int, *, allow_large: bool = False) -> tuple[int, int]:
     """(admissible, self-conjugate) totals without materializing the lists."""
-    _check_args(ell, k)
     _check_size(ell, k, allow_large)
     admissible = conjugate_fixed = 0
 
-    def tally(z: PathSequence) -> None:
+    def tally(moves: tuple[str, ...]) -> None:
         nonlocal admissible, conjugate_fixed
         admissible += 1
-        if is_self_conjugate(z):
-            conjugate_fixed += 1
+        conjugate_fixed += _self_conjugate(moves)
 
     visit_admissible(ell, k, tally)
     return admissible, conjugate_fixed
@@ -158,15 +153,17 @@ def count_by_type(ell: int, k: int, *, allow_large: bool = False) -> dict[Partit
 
     Keys are exactly partitions_of(ell, k) in their canonical order.
     """
-    _check_args(ell, k)
     _check_size(ell, k, allow_large)
-    tallies: dict[Partition, list[int]] = {lam: [0, 0] for lam in partitions_of(ell, k)}
+    shapes = partitions_of(ell, k)
+    tallies = {lam.parts: [0, 0] for lam in shapes}
 
-    def tally(z: PathSequence) -> None:
-        entry = tallies[sequence_type(z)]
+    def tally(moves: tuple[str, ...]) -> None:
+        # a path has up_prefix[ell] color-zero boxes below it
+        below = [s.count("U", 0, ell) for s in moves]
+        column = [ell - below[-1], below[0]] + [b - a for a, b in zip(below, below[1:])]
+        entry = tallies[_type_parts(column, ell)]
         entry[0] += 1
-        if is_self_conjugate(z):
-            entry[1] += 1
+        entry[1] += _self_conjugate(moves)
 
     visit_admissible(ell, k, tally)
-    return {lam: (a, s) for lam, (a, s) in tallies.items()}
+    return {lam: tuple(tallies[lam.parts]) for lam in shapes}

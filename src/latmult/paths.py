@@ -4,10 +4,18 @@ The square sits in the fourth quadrant with its upper-left corner at the
 origin. A box is named by its upper-left corner (a, b) with 0 <= a <= ell-1
 and -(ell-1) <= b <= 0, and carries color a + b. Paths run from (0, -ell)
 to (ell, 0) in unit right and up moves.
+
+After m moves a path sits on the (m - ell)-diagonal, so the number of boxes
+of color j = m - ell below it equals its up-move count at move ell + j,
+minus max(j, 0). Band tallies are therefore differences of up-move prefix
+counts: color_counts reads them off in O(ell * k), and the search in
+enumeration tests each color's conditions as soon as every path has taken
+ell + j moves.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator
 
 _SWAP = str.maketrans("RU", "UR")
@@ -42,23 +50,13 @@ class LatticePath:
     @cached_property
     def up_prefix(self) -> tuple[int, ...]:
         """up_prefix[m] is the number of U moves among the first m moves."""
-        acc = [0]
-        for mv in self.moves:
-            acc.append(acc[-1] + (mv == "U"))
-        return tuple(acc)
+        return tuple(accumulate((mv == "U" for mv in self.moves), initial=0))
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """heights[x-1] is the y coordinate of the horizontal step in column x."""
         ell = self.ell
-        out = []
-        ups = 0
-        for mv in self.moves:
-            if mv == "R":
-                out.append(ups - ell)
-            else:
-                ups += 1
-        return tuple(out)
+        return tuple(u - ell for u, mv in zip(self.up_prefix, self.moves) if mv == "R")
 
     @classmethod
     def from_heights(cls, heights) -> "LatticePath":
@@ -87,10 +85,11 @@ def reflect(p: LatticePath) -> LatticePath:
 
 
 def path_leq(p: LatticePath, q: LatticePath) -> bool:
-    """True when p lies weakly below q in every column."""
+    """True when p lies weakly below q in every column, that is, when p has
+    made at most as many up moves as q after every number of moves."""
     if p.ell != q.ell:
         raise ValueError(f"paths live on different squares: ell {p.ell} vs {q.ell}")
-    return all(a <= b for a, b in zip(p.heights, q.heights))
+    return all(a <= b for a, b in zip(p.up_prefix, q.up_prefix))
 
 
 @dataclass(frozen=True)
@@ -140,10 +139,7 @@ class PathSequence:
         object.__setattr__(self, "paths", paths)
         if not paths:
             raise ValueError("a sequence needs at least one path (k >= 2)")
-        ell = paths[0].ell
-        if any(p.ell != ell for p in paths):
-            raise ValueError("all paths must share one square size")
-        for lower, upper in zip(paths, paths[1:]):
+        for lower, upper in zip(paths, paths[1:]):  # path_leq also rejects mixed sizes
             if not path_leq(lower, upper):
                 raise ValueError(f"paths are not nested: {lower.moves} above {upper.moves}")
 
@@ -179,13 +175,9 @@ class ColorCountTable:
         width = 2 * self.ell - 1
         if len(counts) != self.k or any(len(row) != width for row in counts):
             raise ValueError(f"table must be {self.k} x {width}")
-        for jx in range(width):
-            j = jx - (self.ell - 1)
-            total = sum(row[jx] for row in counts)
+        for j, total in zip(range(1 - self.ell, self.ell), map(sum, zip(*counts))):
             if total != self.ell - abs(j):
-                raise ValueError(
-                    f"color {j} tallies sum to {total}, expected {self.ell - abs(j)}"
-                )
+                raise ValueError(f"color {j} tallies sum to {total}, expected {self.ell - abs(j)}")
 
     def t(self, i: int, j: int) -> int:
         if not 0 <= i < self.k:
@@ -194,21 +186,14 @@ class ColorCountTable:
             raise ValueError(f"color must lie in [{1 - self.ell}, {self.ell - 1}], got {j}")
         return self.counts[i][j + self.ell - 1]
 
-    def zero_column(self) -> tuple[int, ...]:
-        return tuple(self.t(i, 0) for i in range(self.k))
-
 
 def color_counts(z: PathSequence) -> ColorCountTable:
-    """Tally the boxes of each color by the band they fall in."""
-    ell, k = z.ell, z.k
-    counts = [[0] * (2 * ell - 1) for _ in range(k)]
-    heights = [p.heights for p in z.paths]
-    for a in range(ell):
-        for b in range(-(ell - 1), 1):
-            band = 0
-            for i, hs in enumerate(heights, start=1):
-                if hs[a] >= b:
-                    band = i
-                    break
-            counts[band][a + b + ell - 1] += 1
-    return ColorCountTable(ell, k, tuple(tuple(row) for row in counts))
+    """Tally the boxes of each color by the band they fall in, from up-move
+    prefix counts (see the module docstring)."""
+    ell = z.ell
+    colors = range(1 - ell, ell)
+    offsets = [max(j, 0) for j in colors]
+    below = [[up - off for up, off in zip(p.up_prefix[1:-1], offsets)] for p in z.paths]
+    counts = [[ell - abs(j) - b for j, b in zip(colors, below[-1])], below[0]]
+    counts += [[b - a for a, b in zip(lower, upper)] for lower, upper in zip(below, below[1:])]
+    return ColorCountTable(ell, z.k, counts)

@@ -4,11 +4,13 @@ The report is deterministic text so repeated runs can be compared byte for
 byte.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
+from latmult.admissibility import _type_of
 from latmult.avoidance import count_avoiders
 from latmult.bijections import join, sigma, split, tau
-from latmult.enumeration import count_by_type, enumerate_admissible
+from latmult.enumeration import enumerate_admissible
 from latmult.partitions import count_syt, partitions_of, syt_sum, syt_sum_squares
 from latmult.paths import is_self_conjugate
 from latmult.tableaux import enumerate_syt
@@ -29,67 +31,49 @@ class CheckResult:
 
 
 def _check_cell(ell: int, k: int, allow_large: bool) -> list[CheckResult]:
-    out = []
+    out: list[CheckResult] = []
+
+    def check(name: str, ok: bool, detail: str) -> None:
+        out.append(CheckResult(name, ell, k, ok, detail))
+
+    def witness(name: str, items, broken, describe) -> None:
+        """Fail the check with describe(x) for the first broken item x, if any."""
+        detail = next((describe(x) for x in items if broken(x)), "")
+        check(name, not detail, detail)
+
+    def sequence(z) -> str:
+        return f"sequence {[p.moves for p in z.paths]}"
+
     seqs = enumerate_admissible(ell, k, allow_large=allow_large)
     fixed = [z for z in seqs if is_self_conjugate(z)]
-
     want_squares = syt_sum_squares(ell, k)
-    out.append(
-        CheckResult(
-            "admissible-count", ell, k, len(seqs) == want_squares,
-            f"enumerated {len(seqs)}, formula {want_squares}",
-        )
-    )
     want_sum = syt_sum(ell, k)
-    out.append(
-        CheckResult(
-            "self-conjugate-count", ell, k, len(fixed) == want_sum,
-            f"enumerated {len(fixed)}, formula {want_sum}",
-        )
-    )
+    check("admissible-count", len(seqs) == want_squares,
+          f"enumerated {len(seqs)}, formula {want_squares}")
+    check("self-conjugate-count", len(fixed) == want_sum,
+          f"enumerated {len(fixed)}, formula {want_sum}")
 
-    per_type = count_by_type(ell, k, allow_large=allow_large)
+    # the cell is searched once: per-type tallies come from the same list
+    by_type = Counter(_type_of(z) for z in seqs)
+    fixed_by_type = Counter(_type_of(z) for z in fixed)
     detail = ""
     for lam in partitions_of(ell, k):
         f = count_syt(lam)
-        if per_type[lam] != (f * f, f):
-            detail = f"type {list(lam.parts)}: got {per_type[lam]}, expected {(f * f, f)}"
+        got = (by_type[lam], fixed_by_type[lam])
+        if got != (f * f, f):
+            detail = f"type {list(lam.parts)}: got {got}, expected {(f * f, f)}"
             break
-    out.append(CheckResult("per-type-counts", ell, k, not detail, detail))
+    check("per-type-counts", not detail, detail)
 
-    detail = ""
-    for lam in partitions_of(ell, k):
-        for x in enumerate_syt(lam):
-            if sigma(tau(x, k)) != x:
-                detail = f"tableau {[list(r) for r in x.rows]}"
-                break
-        if detail:
-            break
-    out.append(CheckResult("tableau-roundtrip", ell, k, not detail, detail))
-
-    detail = ""
-    for z in fixed:
-        if tau(sigma(z), k) != z:
-            detail = f"sequence {[p.moves for p in z.paths]}"
-            break
-    out.append(CheckResult("sequence-roundtrip", ell, k, not detail, detail))
-
-    detail = ""
-    for z in seqs:
-        z1, z2 = split(z)
-        if join(z1, z2) != z:
-            detail = f"sequence {[p.moves for p in z.paths]}"
-            break
-    out.append(CheckResult("split-join-roundtrip", ell, k, not detail, detail))
+    witness("tableau-roundtrip", (x for lam in partitions_of(ell, k) for x in enumerate_syt(lam)),
+            lambda x: sigma(tau(x, k)) != x, lambda x: f"tableau {[list(r) for r in x.rows]}")
+    witness("sequence-roundtrip", fixed, lambda z: tau(sigma(z), k) != z, sequence)
+    witness("split-join-roundtrip", seqs, lambda z: join(*split(z)) != z, sequence)
 
     brute = count_avoiders(ell, k, "brute", allow_large=allow_large)
     by_insertion = count_avoiders(ell, k, "rsk", allow_large=allow_large)
-    out.append(
-        CheckResult(
-            "avoider-counts", ell, k, brute == by_insertion == want_squares,
-            f"brute {brute}, rsk {by_insertion}, formula {want_squares}",
-        )
-    )
+    check("avoider-counts", brute == by_insertion == want_squares,
+          f"brute {brute}, rsk {by_insertion}, formula {want_squares}")
     return out
 
 

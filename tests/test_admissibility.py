@@ -140,3 +140,47 @@ class TestSequenceType:
         lam = sequence_type(z)
         assert lam.size == z.ell
         assert lam.height <= z.k
+
+
+class TestVerdictCache:
+    """Each sequence object computes its verdict once; the cache lives
+    outside the dataclass fields."""
+
+    @given(nested_sequences_st())
+    def test_cache_leaves_eq_hash_repr_alone(self, z):
+        fresh = PathSequence(z.paths)
+        if is_admissible(z):
+            sequence_type(z)
+        assert z == fresh
+        assert hash(z) == hash(fresh)
+        assert repr(z) == repr(fresh)
+
+    @given(nested_sequences_st())
+    def test_type_same_before_and_after_caching(self, z):
+        if not is_admissible(PathSequence(z.paths)):
+            return
+        first = sequence_type(z)
+        assert sequence_type(z) == first == sequence_type(PathSequence(z.paths))
+
+    @given(nested_sequences_st())
+    def test_inadmissible_raises_every_time(self, z):
+        if is_admissible(z):
+            return
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                sequence_type(z)
+        assert not is_admissible(z)
+
+    def test_tallies_built_once_per_object(self, monkeypatch):
+        import latmult.admissibility as admissibility
+
+        built = []
+        real = admissibility.color_counts
+        monkeypatch.setattr(admissibility, "color_counts", lambda z: built.append(z) or real(z))
+        z = PathSequence((LatticePath("RURU"), LatticePath("RURU")))
+        assert is_admissible(z)
+        assert sequence_type(z) == Partition((1, 1))
+        assert is_admissible(z)
+        assert len(built) == 1
+        sequence_type(PathSequence(z.paths))
+        assert len(built) == 2

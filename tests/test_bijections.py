@@ -148,6 +148,20 @@ class TestSplitJoin:
         z1, z2 = split(z)
         assert join(z1, z2) == z
 
+    def test_each_object_checked_once(self, monkeypatch):
+        import latmult.admissibility as admissibility
+
+        built = []
+        real = admissibility.color_counts
+        monkeypatch.setattr(admissibility, "color_counts", lambda z: built.append(z) or real(z))
+        z = PathSequence((LatticePath("RRUURU"), LatticePath("RRUURU")))
+        assert not is_self_conjugate(z)
+        z1, z2 = split(z)
+        out = join(z1, z2)
+        assert out == z
+        # z, its two halves, and the joined copy: one tally table each
+        assert [id(w) for w in built] == [id(z), id(z1), id(z2), id(out)]
+
     @pytest.mark.parametrize("ell", range(1, 5))
     @pytest.mark.parametrize("k", range(2, 5))
     def test_split_join_bijective_per_type(self, ell, k):

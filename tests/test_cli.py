@@ -2,13 +2,14 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from latmult import GUARD_ENV, syt_sum, syt_sum_squares
-from latmult.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
+from latmult.cli import EXIT_BROKEN_PIPE, EXIT_GUARD, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 
 def run_main(capsys, *argv):
@@ -251,6 +252,30 @@ class TestUsageErrors:
             capsys, "count", "avoiders", "--ell", "4", "--k", "2", "--method", "guess"
         )
         assert code == EXIT_USAGE
+
+
+class TestUnexpectedErrors:
+    def test_deep_json_is_internal_error(self, capsys, monkeypatch):
+        deep = "[" * 100_000 + "]" * 100_000
+        code, out, err = run_main_stdin(capsys, monkeypatch, deep, "map", "tau")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("internal error: RecursionError: ")
+        assert err.count("\n") == 1
+
+    def test_closed_stdout_is_quiet(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "latmult", "verify", "--ell-max", "3", "--k-max", "3"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert proc.stderr == b""
 
 
 class TestInstalledEntryPoints:

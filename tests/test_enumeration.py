@@ -5,7 +5,9 @@ filter with the clause-by-clause admissibility transcription from
 test_admissibility, and compare sets, counts, and order.
 """
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given
@@ -169,3 +171,17 @@ class TestGuards:
             enumerate_admissible(0, 3)
         with pytest.raises(ValueError):
             enumerate_admissible(3, 1)
+
+
+class TestNoRetention:
+    def test_results_freed_without_cycle_collector(self):
+        # the search's recursive closures are reference cycles; they must
+        # not keep a dropped result list alive until the collector runs
+        gc.disable()
+        try:
+            seqs = enumerate_admissible(3, 3)
+            first = weakref.ref(seqs[0])
+            del seqs
+            assert first() is None
+        finally:
+            gc.enable()

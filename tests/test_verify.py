@@ -78,3 +78,28 @@ class TestFailureSurfacesInCli:
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL per-type-counts ell=2 k=2  [type [2]" in out
         assert out.strip().endswith("1/2 checks passed")
+
+
+class TestSingleSearchStillFails:
+    """Each cell is searched once; a wrong formula must still show as FAIL."""
+
+    def test_square_sum_off_by_one(self, monkeypatch):
+        import latmult.verify as verify
+
+        real = verify.syt_sum_squares
+        monkeypatch.setattr(verify, "syt_sum_squares", lambda ell, k: real(ell, k) + 1)
+        results = run_verification(3, 3)
+        for name in ("admissible-count", "avoider-counts"):
+            failed = [r for r in results if r.name == name]
+            assert failed and all(not r.ok and r.detail for r in failed)
+        assert all(r.ok for r in results if r.name == "per-type-counts")
+
+    def test_hook_count_off_by_one(self, monkeypatch):
+        import latmult.verify as verify
+
+        real = verify.count_syt
+        monkeypatch.setattr(verify, "count_syt", lambda lam: real(lam) + 1)
+        results = run_verification(3, 3)
+        failed = [r for r in results if r.name == "per-type-counts"]
+        assert failed and all(not r.ok and r.detail.startswith("type [") for r in failed)
+        assert all(r.ok for r in results if r.name == "admissible-count")
