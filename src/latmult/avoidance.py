@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from itertools import permutations as _all_words
 
 from latmult.guards import check_guard
-from latmult.partitions import syt_sum_squares
+from latmult.partitions import _check_ell_k, syt_sum_squares
 from latmult.tableaux import StandardTableau
 
 BRUTE_GUARD_ELL = 10
@@ -105,10 +105,7 @@ def count_avoiders(ell: int, k: int, method: str = "formula", *, allow_large: bo
     'rsk' filters by insertion tableau height, 'formula' sums squared
     hook-length counts. They agree; the slow routes exist as checks.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _check_ell_k(ell, k)
     if method == "formula":
         return syt_sum_squares(ell, k)
     if method not in ("brute", "rsk"):

@@ -1,5 +1,10 @@
 """Batch command line front end with stable, machine-readable output.
 
+Each cmd_* handler returns its exit code, its JSON document and its TSV
+lines; main alone picks the format and writes stdout in one write, only
+after the verb has finished. So exits 2, 3 and 4 leave stdout empty; 141
+means the reader left while that write was under way.
+
 Exit codes: 0 success (verify: all checks passed), 1 verification failure,
 2 usage or input error, 3 resource guard rejection, 4 internal error (one
 stderr line), 141 quietly when the reader closes stdout early (as SIGPIPE).
@@ -25,6 +30,9 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141
+
+# What a verb hands back to main: (exit code, JSON document, TSV lines).
+Output = tuple[int, object, list]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -109,45 +117,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(args) -> str:
-    return args.format or args.default_format
-
-
 def _compact(values) -> str:
     return json.dumps(list(values), separators=(",", ":"))
 
 
-def _emit_scalar(fmt: str, meta: dict, value: int) -> None:
-    if fmt == "json":
-        print(json.dumps({**meta, "count": str(value)}))
-    else:
-        print(value)
-
-
-def cmd_count_tableaux(args) -> int:
-    fmt = _fmt(args)
+def cmd_count_tableaux(args) -> Output:
     total = syt_sum(args.ell, args.max_height)
+    meta = {"ell": args.ell, "max_height": args.max_height}
     if not args.per_shape:
-        _emit_scalar(fmt, {"ell": args.ell, "max_height": args.max_height}, total)
-        return EXIT_OK
+        return EXIT_OK, {**meta, "count": str(total)}, [total]
     rows = [(lam, count_syt(lam)) for lam in partitions_of(args.ell, args.max_height)]
-    if fmt == "json":
-        print(json.dumps({
-            "ell": args.ell,
-            "max_height": args.max_height,
-            "total": str(total),
-            "per_shape": [{"partition": list(lam.parts), "count": str(f)} for lam, f in rows],
-        }))
-    else:
-        print("lambda\tf")
-        for lam, f in rows:
-            print(f"{_compact(lam.parts)}\t{f}")
-        print(f"total\t{total}")
-    return EXIT_OK
+    doc = {
+        **meta,
+        "total": str(total),
+        "per_shape": [{"partition": list(lam.parts), "count": str(f)} for lam, f in rows],
+    }
+    lines = ["lambda\tf", *(f"{_compact(lam.parts)}\t{f}" for lam, f in rows)]
+    lines.append(f"total\t{total}")
+    return EXIT_OK, doc, lines
 
 
-def cmd_count_paths(args) -> int:
-    fmt = _fmt(args)
+def cmd_count_paths(args) -> Output:
     meta = {"ell": args.ell, "k": args.k, "method": args.method}
     if args.per_shape:
         per = count_by_type(args.ell, args.k, allow_large=args.allow_large)
@@ -156,110 +146,91 @@ def cmd_count_paths(args) -> int:
             f = count_syt(lam)
             adm, fixed = per[lam]
             rows.append((lam, f, f * f, adm, fixed))
-        if fmt == "json":
-            print(json.dumps({
-                "ell": args.ell,
-                "k": args.k,
-                "per_shape": [
-                    {
-                        "partition": list(lam.parts),
-                        "f": str(f),
-                        "f_squared": str(f2),
-                        "brute_admissible": str(adm),
-                        "brute_self_conjugate": str(fixed),
-                    }
-                    for lam, f, f2, adm, fixed in rows
-                ],
-            }))
-        else:
-            print("lambda\tf\tf_squared\tbrute_admissible\tbrute_self_conjugate")
-            for lam, f, f2, adm, fixed in rows:
-                print(f"{_compact(lam.parts)}\t{f}\t{f2}\t{adm}\t{fixed}")
-        return EXIT_OK
+        doc = {
+            "ell": args.ell,
+            "k": args.k,
+            "per_shape": [
+                {
+                    "partition": list(lam.parts),
+                    "f": str(f),
+                    "f_squared": str(f2),
+                    "brute_admissible": str(adm),
+                    "brute_self_conjugate": str(fixed),
+                }
+                for lam, f, f2, adm, fixed in rows
+            ],
+        }
+        lines = ["lambda\tf\tf_squared\tbrute_admissible\tbrute_self_conjugate"]
+        lines += [f"{_compact(lam.parts)}\t{f}\t{f2}\t{adm}\t{fixed}"
+                  for lam, f, f2, adm, fixed in rows]
+        return EXIT_OK, doc, lines
     if args.method == "formula":
         value = (syt_sum if args.self_conjugate else syt_sum_squares)(args.ell, args.k)
     else:
         admissible, fixed = count_sequences(args.ell, args.k, allow_large=args.allow_large)
         value = fixed if args.self_conjugate else admissible
-    _emit_scalar(fmt, meta, value)
-    return EXIT_OK
+    return EXIT_OK, {**meta, "count": str(value)}, [value]
 
 
-def cmd_count_avoiders(args) -> int:
+def cmd_count_avoiders(args) -> Output:
     value = count_avoiders(args.ell, args.k, args.method, allow_large=args.allow_large)
-    _emit_scalar(_fmt(args), {"ell": args.ell, "k": args.k, "method": args.method}, value)
-    return EXIT_OK
+    meta = {"ell": args.ell, "k": args.k, "method": args.method}
+    return EXIT_OK, {**meta, "count": str(value)}, [value]
 
 
-def cmd_mult(args) -> int:
+def cmd_mult(args) -> Output:
     g = gamma(args.ell, args.n)
     w = weight_pairings(args.k, g)
     value = multiplicity(args.n, args.k, args.ell)
-    if _fmt(args) == "json":
-        print(json.dumps({
-            "n": args.n,
-            "k": args.k,
-            "ell": args.ell,
-            "gamma": list(g.coeffs),
-            "pairings": list(w.pairings),
-            "multiplicity": str(value),
-        }))
-    else:
-        print(f"gamma\t{_compact(g.coeffs)}")
-        print(f"pairings\t{_compact(w.pairings)}")
-        print(f"multiplicity\t{value}")
-    return EXIT_OK
+    doc = {
+        "n": args.n,
+        "k": args.k,
+        "ell": args.ell,
+        "gamma": list(g.coeffs),
+        "pairings": list(w.pairings),
+        "multiplicity": str(value),
+    }
+    lines = [
+        f"gamma\t{_compact(g.coeffs)}",
+        f"pairings\t{_compact(w.pairings)}",
+        f"multiplicity\t{value}",
+    ]
+    return EXIT_OK, doc, lines
 
 
-def cmd_map(args) -> int:
+def cmd_map(args) -> Output:
     payload = json.loads(sys.stdin.read())
-    fmt = _fmt(args)
     if args.direction == "tau":
         x = serialize.tableau_from_json(payload)
         k = args.k if args.k is not None else max(2, x.shape.height)
         z = tau(x, k)
-        if fmt == "json":
-            print(json.dumps(serialize.sequence_to_json(z)))
-        else:
-            for p in z.paths:
-                print(p.moves)
-    else:
-        z = serialize.sequence_from_json(payload)
-        x = sigma(z)
-        if fmt == "json":
-            print(json.dumps(serialize.tableau_to_json(x)))
-        else:
-            for row in x.rows:
-                print("\t".join(str(e) for e in row))
-    return EXIT_OK
+        return EXIT_OK, serialize.sequence_to_json(z), [p.moves for p in z.paths]
+    z = serialize.sequence_from_json(payload)
+    x = sigma(z)
+    rows = ["\t".join(str(e) for e in row) for row in x.rows]
+    return EXIT_OK, serialize.tableau_to_json(x), rows
 
 
-def cmd_lds(args) -> int:
+def cmd_lds(args) -> Output:
     text = args.word if args.word is not None else sys.stdin.read()
     w = serialize.permutation_from_word(text)
     value = lds_length(w)
-    if _fmt(args) == "json":
-        print(json.dumps({"word": list(w.word), "lds": value}))
-    else:
-        print(value)
-    return EXIT_OK
+    return EXIT_OK, {"word": list(w.word), "lds": value}, [value]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     results = run_verification(args.ell_max, args.k_max, allow_large=args.allow_large)
-    if _fmt(args) == "json":
-        print(json.dumps({
-            "checks": [
-                {"name": r.name, "ell": r.ell, "k": r.k, "ok": r.ok,
-                 **({"detail": r.detail} if not r.ok else {})}
-                for r in results
-            ],
-            "passed": sum(r.ok for r in results),
-            "total": len(results),
-        }))
-    else:
-        print(render_report(results))
-    return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY_FAILED
+    doc = {
+        "checks": [
+            {"name": r.name, "ell": r.ell, "k": r.k, "ok": r.ok,
+             **({"detail": r.detail} if not r.ok else {})}
+            for r in results
+        ],
+        "passed": sum(r.ok for r in results),
+        "total": len(results),
+    }
+    code = EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY_FAILED
+    return code, doc, [render_report(results)]
 
 
 def main(argv=None) -> int:
@@ -272,7 +243,12 @@ def main(argv=None) -> int:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        code = args.handler(args)
+        code, doc, lines = args.handler(args)
+        if (args.format or args.default_format) == "json":
+            text = json.dumps(doc) + "\n"
+        else:
+            text = "".join(f"{line}\n" for line in lines)
+        sys.stdout.write(text)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except ResourceLimitError as exc:

@@ -15,22 +15,15 @@ from typing import Callable
 
 from latmult.admissibility import _band_fits, _type_parts
 from latmult.guards import check_guard
-from latmult.partitions import Partition, partitions_of
-from latmult.paths import LatticePath, PathSequence, reflected_moves
+from latmult.partitions import Partition, _check_ell_k, partitions_of
+from latmult.paths import LatticePath, PathSequence, _self_conjugate
 
 GUARD_ELL = 6
 GUARD_K = 5
 
 
-def _check_args(ell: int, k: int) -> None:
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-
-
 def _check_size(ell: int, k: int, allow_large: bool) -> None:
-    _check_args(ell, k)
+    _check_ell_k(ell, k)
     check_guard(
         ell <= GUARD_ELL and k <= GUARD_K,
         allow_large,
@@ -47,7 +40,7 @@ def visit_admissible(ell: int, k: int, visit: Callable[[tuple[str, ...]], None])
     'R' before 'U' at every move. No size guard is applied here; the list
     building wrappers own that.
     """
-    _check_args(ell, k)
+    _check_ell_k(ell, k)
     total = 2 * ell
     n_colors = total - 1
     finished: list[str] = []
@@ -107,10 +100,6 @@ def visit_admissible(ell: int, k: int, visit: Callable[[tuple[str, ...]], None])
 
 def _sequence(moves: tuple[str, ...]) -> PathSequence:
     return PathSequence(tuple(LatticePath(s) for s in moves))
-
-
-def _self_conjugate(moves: tuple[str, ...]) -> bool:
-    return all(s == reflected_moves(s) for s in moves)
 
 
 def enumerate_admissible(ell: int, k: int, *, allow_large: bool = False) -> list[PathSequence]:

@@ -16,7 +16,7 @@ ell + j moves.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterable, Iterator
 
 _SWAP = str.maketrans("RU", "UR")
 
@@ -24,6 +24,11 @@ _SWAP = str.maketrans("RU", "UR")
 def reflected_moves(moves: str) -> str:
     """Mirror a move string across the anti-diagonal: reverse it and swap R/U."""
     return moves[::-1].translate(_SWAP)
+
+
+def _self_conjugate(moves: Iterable[str]) -> bool:
+    """True when every move string equals its own reflection."""
+    return all(s == reflected_moves(s) for s in moves)
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,7 @@ class PathSequence:
 
 def is_self_conjugate(z: PathSequence) -> bool:
     """True when every path equals its own reflection."""
-    return all(p.moves == reflected_moves(p.moves) for p in z.paths)
+    return _self_conjugate(p.moves for p in z.paths)
 
 
 @dataclass(frozen=True)

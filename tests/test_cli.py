@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from latmult import GUARD_ENV, syt_sum, syt_sum_squares
+from latmult import GUARD_ENV, cli, syt_sum, syt_sum_squares
 from latmult.cli import EXIT_BROKEN_PIPE, EXIT_GUARD, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from latmult.guards import ResourceLimitError
 
 
 def run_main(capsys, *argv):
@@ -21,6 +22,265 @@ def run_main(capsys, *argv):
 def run_main_stdin(capsys, monkeypatch, text, *argv):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     return run_main(capsys, *argv)
+
+
+TABLEAU = "[[1, 3], [2, 6], [4], [5]]"
+SEQUENCE = '{"ell": 6, "k": 4, "paths": ["RURRRURUUURU", "RURURURURURU", "RURUUURRRURU"]}'
+
+# Exact stdout and exit code of each verb in each format. A change of
+# whitespace, key order or line order shows here even where the parsed
+# values stay equal.
+GOLDEN = [
+    pytest.param(
+        "count tableaux --ell 5 --max-height 4",
+        None, EXIT_OK,
+        b'25\n',
+        id="tableaux-tsv",
+    ),
+    pytest.param(
+        "count tableaux --ell 5 --max-height 4 --format json",
+        None, EXIT_OK,
+        b'{"ell": 5, "max_height": 4, "count": "25"}\n',
+        id="tableaux-json",
+    ),
+    pytest.param(
+        "count tableaux --ell 5 --max-height 4 --per-shape",
+        None, EXIT_OK,
+        (
+            b'lambda\tf\n[5]\t1\n[4,1]\t4\n[3,2]\t5\n[3,1,1]\t6\n[2,2,1]\t5\n[2,1,1,1]\t4\n'
+            b'total\t25\n'
+        ),
+        id="tableaux-per-shape-tsv",
+    ),
+    pytest.param(
+        "count tableaux --ell 5 --max-height 4 --per-shape --format json",
+        None, EXIT_OK,
+        (
+            b'{"ell": 5, "max_height": 4, "total": "25", "per_shape": [{"partition": [5], '
+            b'"count": "1"}, {"partition": [4, 1], "count": "4"}, {"partition": [3, 2], '
+            b'"count": "5"}, {"partition": [3, 1, 1], "count": "6"}, {"partition": [2, 2, 1], '
+            b'"count": "5"}, {"partition": [2, 1, 1, 1], "count": "4"}]}\n'
+        ),
+        id="tableaux-per-shape-json",
+    ),
+    pytest.param(
+        "count paths --ell 4 --k 3",
+        None, EXIT_OK,
+        b'23\n',
+        id="paths-tsv",
+    ),
+    pytest.param(
+        "count paths --ell 4 --k 3 --method brute --format json",
+        None, EXIT_OK,
+        b'{"ell": 4, "k": 3, "method": "brute", "count": "23"}\n',
+        id="paths-json",
+    ),
+    pytest.param(
+        "count paths --ell 3 --k 3 --per-shape",
+        None, EXIT_OK,
+        (
+            b'lambda\tf\tf_squared\tbrute_admissible\tbrute_self_conjugate\n[3]\t1\t1\t1\t1\n'
+            b'[2,1]\t2\t4\t4\t2\n[1,1,1]\t1\t1\t1\t1\n'
+        ),
+        id="paths-per-shape-tsv",
+    ),
+    pytest.param(
+        "count paths --ell 3 --k 3 --per-shape --format json",
+        None, EXIT_OK,
+        (
+            b'{"ell": 3, "k": 3, "per_shape": [{"partition": [3], "f": "1", "f_squared": "1", '
+            b'"brute_admissible": "1", "brute_self_conjugate": "1"}, {"partition": [2, 1], '
+            b'"f": "2", "f_squared": "4", "brute_admissible": "4", '
+            b'"brute_self_conjugate": "2"}, {"partition": [1, 1, 1], "f": "1", '
+            b'"f_squared": "1", "brute_admissible": "1", "brute_self_conjugate": "1"}]}\n'
+        ),
+        id="paths-per-shape-json",
+    ),
+    pytest.param(
+        "count self-conjugate --ell 4 --k 3",
+        None, EXIT_OK,
+        b'9\n',
+        id="self-conjugate-tsv",
+    ),
+    pytest.param(
+        "count self-conjugate --ell 4 --k 3 --method brute --format json",
+        None, EXIT_OK,
+        b'{"ell": 4, "k": 3, "method": "brute", "count": "9"}\n',
+        id="self-conjugate-json",
+    ),
+    pytest.param(
+        "count self-conjugate --ell 3 --k 3 --per-shape",
+        None, EXIT_OK,
+        (
+            b'lambda\tf\tf_squared\tbrute_admissible\tbrute_self_conjugate\n[3]\t1\t1\t1\t1\n'
+            b'[2,1]\t2\t4\t4\t2\n[1,1,1]\t1\t1\t1\t1\n'
+        ),
+        id="self-conjugate-per-shape-tsv",
+    ),
+    pytest.param(
+        "count self-conjugate --ell 3 --k 3 --per-shape --format json",
+        None, EXIT_OK,
+        (
+            b'{"ell": 3, "k": 3, "per_shape": [{"partition": [3], "f": "1", "f_squared": "1", '
+            b'"brute_admissible": "1", "brute_self_conjugate": "1"}, {"partition": [2, 1], '
+            b'"f": "2", "f_squared": "4", "brute_admissible": "4", '
+            b'"brute_self_conjugate": "2"}, {"partition": [1, 1, 1], "f": "1", '
+            b'"f_squared": "1", "brute_admissible": "1", "brute_self_conjugate": "1"}]}\n'
+        ),
+        id="self-conjugate-per-shape-json",
+    ),
+    pytest.param(
+        "count avoiders --ell 7 --k 2 --method rsk",
+        None, EXIT_OK,
+        b'429\n',
+        id="avoiders-tsv",
+    ),
+    pytest.param(
+        "count avoiders --ell 5 --k 4 --format json",
+        None, EXIT_OK,
+        b'{"ell": 5, "k": 4, "method": "formula", "count": "119"}\n',
+        id="avoiders-json",
+    ),
+    pytest.param(
+        "mult --n 10 --k 4 --ell 5",
+        None, EXIT_OK,
+        (
+            b'{"n": 10, "k": 4, "ell": 5, "gamma": [5, 4, 3, 2, 1, 0, 1, 2, 3, 4], '
+            b'"pairings": [2, 0, 0, 0, 0, 2, 0, 0, 0, 0], "multiplicity": "119"}\n'
+        ),
+        id="mult-json",
+    ),
+    pytest.param(
+        "mult --n 10 --k 4 --ell 5 --format tsv",
+        None, EXIT_OK,
+        (
+            b'gamma\t[5,4,3,2,1,0,1,2,3,4]\npairings\t[2,0,0,0,0,2,0,0,0,0]\n'
+            b'multiplicity\t119\n'
+        ),
+        id="mult-tsv",
+    ),
+    pytest.param(
+        "map tau --k 4",
+        TABLEAU, EXIT_OK,
+        b'{"ell": 6, "k": 4, "paths": ["RURRRURUUURU", "RURURURURURU", "RURUUURRRURU"]}\n',
+        id="tau-json",
+    ),
+    pytest.param(
+        "map tau --k 4 --format tsv",
+        TABLEAU, EXIT_OK,
+        b'RURRRURUUURU\nRURURURURURU\nRURUUURRRURU\n',
+        id="tau-tsv",
+    ),
+    pytest.param(
+        "map sigma",
+        SEQUENCE, EXIT_OK,
+        b'[[1, 3], [2, 6], [4], [5]]\n',
+        id="sigma-json",
+    ),
+    pytest.param(
+        "map sigma --format tsv",
+        SEQUENCE, EXIT_OK,
+        b'1\t3\n2\t6\n4\n5\n',
+        id="sigma-tsv",
+    ),
+    pytest.param(
+        "lds 26873415",
+        None, EXIT_OK,
+        b'4\n',
+        id="lds-argument",
+    ),
+    pytest.param(
+        "lds",
+        "26873415\n", EXIT_OK,
+        b'4\n',
+        id="lds-stdin",
+    ),
+    pytest.param(
+        "lds 26873415 --format json",
+        None, EXIT_OK,
+        b'{"word": [2, 6, 8, 7, 3, 4, 1, 5], "lds": 4}\n',
+        id="lds-json",
+    ),
+    pytest.param(
+        "verify --ell-max 2 --k-max 3",
+        None, EXIT_OK,
+        (
+            b'PASS admissible-count ell=1 k=2\nPASS self-conjugate-count ell=1 k=2\n'
+            b'PASS per-type-counts ell=1 k=2\nPASS tableau-roundtrip ell=1 k=2\n'
+            b'PASS sequence-roundtrip ell=1 k=2\nPASS split-join-roundtrip ell=1 k=2\n'
+            b'PASS avoider-counts ell=1 k=2\nPASS admissible-count ell=1 k=3\n'
+            b'PASS self-conjugate-count ell=1 k=3\nPASS per-type-counts ell=1 k=3\n'
+            b'PASS tableau-roundtrip ell=1 k=3\nPASS sequence-roundtrip ell=1 k=3\n'
+            b'PASS split-join-roundtrip ell=1 k=3\nPASS avoider-counts ell=1 k=3\n'
+            b'PASS admissible-count ell=2 k=2\nPASS self-conjugate-count ell=2 k=2\n'
+            b'PASS per-type-counts ell=2 k=2\nPASS tableau-roundtrip ell=2 k=2\n'
+            b'PASS sequence-roundtrip ell=2 k=2\nPASS split-join-roundtrip ell=2 k=2\n'
+            b'PASS avoider-counts ell=2 k=2\nPASS admissible-count ell=2 k=3\n'
+            b'PASS self-conjugate-count ell=2 k=3\nPASS per-type-counts ell=2 k=3\n'
+            b'PASS tableau-roundtrip ell=2 k=3\nPASS sequence-roundtrip ell=2 k=3\n'
+            b'PASS split-join-roundtrip ell=2 k=3\nPASS avoider-counts ell=2 k=3\n'
+            b'28/28 checks passed\n'
+        ),
+        id="verify-tsv",
+    ),
+    pytest.param(
+        "verify --ell-max 2 --k-max 3 --format json",
+        None, EXIT_OK,
+        (
+            b'{"checks": [{"name": "admissible-count", "ell": 1, "k": 2, "ok": true}, '
+            b'{"name": "self-conjugate-count", "ell": 1, "k": 2, "ok": true}, '
+            b'{"name": "per-type-counts", "ell": 1, "k": 2, "ok": true}, '
+            b'{"name": "tableau-roundtrip", "ell": 1, "k": 2, "ok": true}, '
+            b'{"name": "sequence-roundtrip", "ell": 1, "k": 2, "ok": true}, '
+            b'{"name": "split-join-roundtrip", "ell": 1, "k": 2, "ok": true}, '
+            b'{"name": "avoider-counts", "ell": 1, "k": 2, "ok": true}, '
+            b'{"name": "admissible-count", "ell": 1, "k": 3, "ok": true}, '
+            b'{"name": "self-conjugate-count", "ell": 1, "k": 3, "ok": true}, '
+            b'{"name": "per-type-counts", "ell": 1, "k": 3, "ok": true}, '
+            b'{"name": "tableau-roundtrip", "ell": 1, "k": 3, "ok": true}, '
+            b'{"name": "sequence-roundtrip", "ell": 1, "k": 3, "ok": true}, '
+            b'{"name": "split-join-roundtrip", "ell": 1, "k": 3, "ok": true}, '
+            b'{"name": "avoider-counts", "ell": 1, "k": 3, "ok": true}, '
+            b'{"name": "admissible-count", "ell": 2, "k": 2, "ok": true}, '
+            b'{"name": "self-conjugate-count", "ell": 2, "k": 2, "ok": true}, '
+            b'{"name": "per-type-counts", "ell": 2, "k": 2, "ok": true}, '
+            b'{"name": "tableau-roundtrip", "ell": 2, "k": 2, "ok": true}, '
+            b'{"name": "sequence-roundtrip", "ell": 2, "k": 2, "ok": true}, '
+            b'{"name": "split-join-roundtrip", "ell": 2, "k": 2, "ok": true}, '
+            b'{"name": "avoider-counts", "ell": 2, "k": 2, "ok": true}, '
+            b'{"name": "admissible-count", "ell": 2, "k": 3, "ok": true}, '
+            b'{"name": "self-conjugate-count", "ell": 2, "k": 3, "ok": true}, '
+            b'{"name": "per-type-counts", "ell": 2, "k": 3, "ok": true}, '
+            b'{"name": "tableau-roundtrip", "ell": 2, "k": 3, "ok": true}, '
+            b'{"name": "sequence-roundtrip", "ell": 2, "k": 3, "ok": true}, '
+            b'{"name": "split-join-roundtrip", "ell": 2, "k": 3, "ok": true}, '
+            b'{"name": "avoider-counts", "ell": 2, "k": 3, "ok": true}], "passed": 28, '
+            b'"total": 28}\n'
+        ),
+        id="verify-json",
+    ),
+    pytest.param(
+        "count paths --ell 9 --k 5 --method brute",
+        None, EXIT_GUARD,
+        b'',
+        id="guard-refusal",
+    ),
+    pytest.param(
+        "count paths --ell 4",
+        None, EXIT_USAGE,
+        b'',
+        id="usage-error",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, code, out", GOLDEN)
+def test_golden_stdout(capsysbinary, monkeypatch, argv, stdin, code, out):
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv.split()) == code
+    assert capsysbinary.readouterr().out == out
 
 
 class TestCountTableaux:
@@ -276,6 +536,31 @@ class TestUnexpectedErrors:
             os.close(write_end)
         assert proc.returncode == EXIT_BROKEN_PIPE
         assert proc.stderr == b""
+
+
+class TestStdoutContract:
+    """stdout is written once, after the verb has finished, so every exit
+    other than 0 and 1 leaves it empty."""
+
+    @pytest.mark.parametrize("exc, code", [
+        (ValueError("late"), EXIT_USAGE),
+        (ResourceLimitError("late"), EXIT_GUARD),
+        (RuntimeError("late"), EXIT_INTERNAL),
+    ])
+    def test_failure_after_some_rows_writes_nothing(self, capsys, monkeypatch, exc, code):
+        real = cli.count_syt
+
+        def count_syt(lam):
+            if lam.parts == (2, 1, 1, 1):  # the last row of the table
+                raise exc
+            return real(lam)
+
+        monkeypatch.setattr(cli, "count_syt", count_syt)
+        got, out, _ = run_main(
+            capsys, "count", "tableaux", "--ell", "5", "--max-height", "4", "--per-shape"
+        )
+        assert got == code
+        assert out == ""
 
 
 class TestInstalledEntryPoints:
