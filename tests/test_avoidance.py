@@ -1,7 +1,8 @@
 """Longest decreasing subsequences, row insertion, and avoider counting.
 
-Oracles: a quadratic dynamic program for LDS, the ballot-number recurrence
-for the k = 2 column, and direct standardness checks on insertion output.
+Oracles: a quadratic dynamic program for LDS, a cell-by-cell transcription
+of row insertion, the ballot-number recurrence for the k = 2 column, and
+direct standardness checks on insertion output.
 """
 
 import itertools
@@ -28,6 +29,37 @@ def oracle_lds(word):
     for i, value in enumerate(word):
         best.append(1 + max((best[j] for j in range(i) if word[j] > value), default=0))
     return max(best, default=0)
+
+
+def oracle_rsk(word):
+    """Row insertion written out cell by cell, with linear scans."""
+    p, q = [], []
+    for step, x in enumerate(word, start=1):
+        r = 0
+        while True:
+            if r == len(p):
+                p.append([x])
+                q.append([step])
+                break
+            bigger = [y for y in p[r] if y > x]
+            if not bigger:
+                p[r].append(x)
+                q[r].append(step)
+                break
+            y = min(bigger)
+            p[r][p[r].index(y)] = x
+            x = y
+            r += 1
+    return tuple(map(tuple, p)), tuple(map(tuple, q))
+
+
+@lru_cache(maxsize=None)
+def oracle_lds_histogram(n):
+    """How many words of 1..n have each longest-decrease length, by the DP."""
+    counts = [0] * (n + 1)
+    for w in itertools.permutations(range(1, n + 1)):
+        counts[oracle_lds(w)] += 1
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -99,6 +131,12 @@ class TestRsk:
         images = {rsk(Permutation(w)) for w in itertools.permutations(range(1, n + 1))}
         assert len(images) == len(list(itertools.permutations(range(1, n + 1))))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_cell_by_cell_insertion(self, n):
+        for w in itertools.permutations(range(1, n + 1)):
+            p, q = rsk(Permutation(w))
+            assert (p.rows, q.rows) == oracle_rsk(w)
+
     @given(perms_st())
     def test_schensted_column_property(self, word):
         # height of the insertion tableau equals the longest decrease
@@ -140,6 +178,19 @@ class TestCountAvoiders:
                 if oracle_lds(w) <= k
             )
             assert count_avoiders(5, k, "brute") == direct
+
+    @pytest.mark.parametrize("method", ["brute", "rsk"])
+    @pytest.mark.parametrize("ell,k", [(8, k) for k in range(2, 10)] + [(1, 2), (1, 5)])
+    def test_walk_matches_dp_filter(self, method, ell, k):
+        # k >= ell is answered at the root of the walk by the r! count
+        direct = sum(oracle_lds_histogram(ell)[: k + 1])
+        assert count_avoiders(ell, k, method) == direct
+
+    @pytest.mark.parametrize("method", ["brute", "rsk"])
+    def test_walk_leaves_no_state_behind(self, method):
+        first = count_avoiders(7, 3, method)
+        assert count_avoiders(7, 3, method) == first
+        assert count_avoiders(6, 4, method) == syt_sum_squares(6, 4)
 
     def test_guard_on_brute_methods(self, monkeypatch):
         monkeypatch.delenv(GUARD_ENV, raising=False)

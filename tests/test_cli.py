@@ -1,15 +1,26 @@
 """Command line surface: verbs, formats, exit codes, and error reporting."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from latmult import GUARD_ENV, cli, syt_sum, syt_sum_squares
-from latmult.cli import EXIT_BROKEN_PIPE, EXIT_GUARD, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from latmult.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_GUARD,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
+    main,
+)
 from latmult.guards import ResourceLimitError
 
 
@@ -561,6 +572,93 @@ class TestStdoutContract:
         )
         assert got == code
         assert out == ""
+
+
+# Each verb of the real parser with its own options, for the argv property
+# test; lds takes its word as a positional argument.
+VERB_OPTIONS = {
+    "count tableaux": ["--ell", "--max-height", "--per-shape"],
+    "count paths": ["--ell", "--k", "--method", "--per-shape"],
+    "count self-conjugate": ["--ell", "--k", "--method", "--per-shape"],
+    "count avoiders": ["--ell", "--k", "--method"],
+    "mult": ["--n", "--k", "--ell"],
+    "map tau": ["--k"],
+    "map sigma": [],
+    "lds": ["word"],
+    "verify": ["--ell-max", "--k-max"],
+}
+ALL_OPTIONS = sorted({flag for flags in VERB_OPTIONS.values() for flag in flags} - {"word"})
+
+
+@st.composite
+def argv_st(draw):
+    """A real verb, whole or cut short, with most of its own options and
+    now and then a stray option or junk token, in any order. --allow-large
+    is left out: the guard is what keeps the brute routes short, and past
+    it one request runs for hours. Integers stay <= 12 (<= 3 under verify),
+    since the formula verbs have no guard."""
+    rarely = st.integers(0, 9).map(lambda i: i == 9)
+    verb = draw(st.sampled_from([*VERB_OPTIONS, "", "count", "map"]))
+    number = st.integers(-2, 3 if verb == "verify" else 12).map(str)
+    junk = st.one_of(number, st.text(max_size=6))
+    values = {
+        "--method": st.sampled_from(["brute", "rsk", "formula"]),
+        "--format": st.sampled_from(["json", "tsv"]),
+        "word": st.integers(1, 9)
+        .flatmap(lambda n: st.permutations(range(1, n + 1)))
+        .map(lambda w: "".join(map(str, w))),
+    }
+    groups = []
+    for flag in VERB_OPTIONS.get(verb, []) + ["--format"]:
+        if draw(rarely):
+            continue
+        value = draw(junk if draw(rarely) else values.get(flag, number))
+        if flag == "--per-shape":
+            groups.append([flag])
+        elif flag == "word":
+            groups.append([value])
+        else:
+            groups.append([flag, value])
+    if draw(rarely):
+        groups.append(draw(st.one_of(
+            st.tuples(st.sampled_from(ALL_OPTIONS), number),
+            st.sampled_from(["--help", "--per-shape"]).map(lambda flag: (flag,)),
+            junk.map(lambda token: (token,)),
+        )))
+    groups = draw(st.permutations(groups))
+    return verb.split() + [token for group in groups for token in group]
+
+
+STDIN_ST = st.one_of(
+    st.text(max_size=40),
+    st.sampled_from([TABLEAU, SEQUENCE, "[[1]]", "26873415", "", "{}", "[[2, 1]]"]),
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.text(max_size=3)),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(["ell", "k", "paths", "x"]), inner, max_size=3),
+        max_leaves=12,
+    ).map(json.dumps),
+)
+
+
+class TestExitCodeContract:
+    """Whatever argv and stdin, the exit code is documented, stdout is empty
+    unless the code is 0 or 1, and 1 comes from verify alone."""
+
+    @settings(max_examples=200)
+    @given(argv_st(), STDIN_ST)
+    def test_any_argv_and_stdin(self, argv, stdin):
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv(GUARD_ENV, raising=False)
+            mp.setattr(sys, "stdin", io.StringIO(stdin))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in {EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_GUARD, EXIT_INTERNAL}
+        if code not in (EXIT_OK, EXIT_VERIFY_FAILED):
+            assert out.getvalue() == ""
+        if code == EXIT_VERIFY_FAILED:
+            assert "verify" in argv
 
 
 class TestInstalledEntryPoints:
