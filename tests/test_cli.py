@@ -645,20 +645,36 @@ class TestExitCodeContract:
     """Whatever argv and stdin, the exit code is documented, stdout is empty
     unless the code is 0 or 1, and 1 comes from verify alone."""
 
-    @settings(max_examples=200)
-    @given(argv_st(), STDIN_ST)
-    def test_any_argv_and_stdin(self, argv, stdin):
+    @staticmethod
+    def run(argv, stdin):
+        """main's exit code and stdout, with the guard override unset."""
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
             mp.delenv(GUARD_ENV, raising=False)
             mp.setattr(sys, "stdin", io.StringIO(stdin))
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
+        return code, out.getvalue()
+
+    @settings(max_examples=200)
+    @given(argv_st(), STDIN_ST)
+    def test_any_argv_and_stdin(self, argv, stdin):
+        code, out = self.run(argv, stdin)
         assert code in {EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_GUARD, EXIT_INTERNAL}
         if code not in (EXIT_OK, EXIT_VERIFY_FAILED):
-            assert out.getvalue() == ""
+            assert out == ""
         if code == EXIT_VERIFY_FAILED:
             assert "verify" in argv
+
+    @settings(max_examples=50)
+    @given(argv_st(), STDIN_ST)
+    def test_same_request_same_answer(self, argv, stdin):
+        # the path search visits in no fixed order, so no verb's output may
+        # depend on the order in which it sees things
+        code, out = self.run(argv, stdin)
+        again, out_again = self.run(argv, stdin)
+        assert again == code
+        assert out_again.encode() == out.encode()
 
 
 class TestInstalledEntryPoints:

@@ -31,6 +31,7 @@ from latmult import (
     syt_sum,
     syt_sum_squares,
 )
+from latmult.enumeration import visit_admissible
 
 from test_admissibility import oracle_admissible
 
@@ -118,6 +119,30 @@ class TestOrderAndStreaming:
         assert fixed == syt_sum(ell, k)
 
 
+class TestVisitOrderFree:
+    """The search visits in no promised order; the lists sort what it finds."""
+
+    @pytest.mark.parametrize("ell,k", [(6, 5), (5, 6), (4, 7)])
+    def test_each_sequence_visited_once(self, ell, k):
+        seen = []
+        visit_admissible(ell, k, seen.append)
+        assert len(seen) == len(set(seen))
+        listed = enumerate_admissible(ell, k, allow_large=True)
+        assert set(seen) == {tuple(p.moves for p in z.paths) for z in listed}
+
+    @pytest.mark.parametrize("ell,k", [(5, 4), (6, 3)])
+    def test_self_conjugate_lexicographic(self, ell, k):
+        got = enumerate_self_conjugate(ell, k)
+        keys = [tuple(p.moves for p in z.paths) for z in got]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("ell,k", [(2, 30), (3, 12), (4, 10)])
+    def test_many_paths_on_a_small_square(self, ell, k):
+        # k - 1 paths may move in 2**(k-1) ways at each move; the search
+        # must prune a column path by path instead of forming all of them
+        assert count_sequences(ell, k, allow_large=True) == (syt_sum_squares(ell, k), syt_sum(ell, k))
+
+
 class TestCountByType:
     def test_single_cell(self):
         # [TRIVIAL]
@@ -146,6 +171,11 @@ class TestCountByType:
         for lam, (admissible, fixed) in per.items():
             f = count_syt(lam)
             assert (admissible, fixed) == (f * f, f)
+
+    def test_largest_guarded_square_four_rows(self):
+        # [DERIVED] hook length formula, at the guard's ell
+        per = count_by_type(6, 4)
+        assert per == {lam: (count_syt(lam) ** 2, count_syt(lam)) for lam in partitions_of(6, 4)}
 
 
 class TestGuards:
