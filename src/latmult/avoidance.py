@@ -1,13 +1,19 @@
 """Permutations, longest decreasing subsequences, and insertion tableaux.
 
-The slow avoider counts walk the prefix tree of the words of 1..ell depth
-first, placing each letter once on the way down and taking it back on the
-way up: 'brute' carries patience piles, 'rsk' carries insertion rows, and
-each reads its own statistic off its own state. Two facts prune the walk.
-The statistic never falls as letters are added, so a prefix above k is
-dropped with all its completions; one letter raises it by at most 1, so a
-prefix at h with r letters left counts r! at once when h + r <= k. Both
-routes stay behind the guard at ell <= BRUTE_GUARD_ELL.
+The slow avoider counts are two independent checks of the formula. Both
+rest on two facts: the statistic never falls as letters are added, so a
+prefix above k is dropped with all its completions; and one letter raises
+it by at most 1, so a prefix at h with r letters left counts r! at once
+when h + r <= k.
+
+'brute' sorts into patience piles, and what a prefix can still become
+depends only on how the pile tops sit among the unused letters. So it walks
+states (r, tops), where tops labels each pile with the number of unused
+letters below its top, and counts each state once: a polynomial walk for
+fixed k. 'rsk' walks the prefix tree of the ell! words depth first,
+placing each letter once in the insertion rows on the way down and taking
+it back on the way up, and reads the tableau height. Each route has its own
+guard: 'brute' at ell <= BRUTE_GUARD_ELL, 'rsk' at ell <= RSK_GUARD_ELL.
 """
 
 from bisect import bisect_left, bisect_right
@@ -18,6 +24,7 @@ from latmult.partitions import _check_ell_k, syt_sum_squares
 from latmult.tableaux import StandardTableau
 
 BRUTE_GUARD_ELL = 10
+RSK_GUARD_ELL = 9
 
 
 @dataclass(frozen=True)
@@ -39,26 +46,16 @@ class Permutation:
         return len(self.word)
 
 
-def _pile(tails: list[int], x: int) -> tuple[int, int | None]:
+def _pile(tails: list[int], x: int) -> None:
     # one patience step on negated values: strictly decreasing runs in the
     # word become strictly increasing runs of keys, so len(tails) is the
-    # longest decrease so far; returns what _unpile needs to take it back
+    # longest decrease so far
     key = -x
     idx = bisect_left(tails, key)
     if idx == len(tails):
         tails.append(key)
-        return idx, None
-    old = tails[idx]
-    tails[idx] = key
-    return idx, old
-
-
-def _unpile(tails: list[int], placed: tuple[int, int | None]) -> None:
-    idx, old = placed
-    if old is None:
-        tails.pop()
     else:
-        tails[idx] = old
+        tails[idx] = key
 
 
 def lds_length(w: Permutation) -> int:
@@ -126,22 +123,50 @@ def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
     return as_tableau(p_rows), as_tableau(q_rows)
 
 
-def _count_words(ell: int, k: int, place, unplace) -> int:
-    """Words of 1..ell whose statistic len(state) stays at most k.
+def _count_piles(ell: int, k: int, factorial: list[int]) -> int:
+    """Words of 1..ell with at most k patience piles, counted over states.
 
-    place(state, x) adds letter x to the state and returns what
-    unplace(state, ...) needs to take it back. The statistic must never
-    fall as letters are added and rise by at most 1 per letter, which is
-    what lets the walk prune (see the module docstring).
+    A state is (r, tops): r letters are left, and tops holds each pile's
+    label, the number of unused letters below its top, negated as _pile
+    keeps them. Placing the unused letter of rank i piles the label i (a
+    top labelled i lies below that letter, as bisect_left on the negated
+    keys has it), then every label above i drops by 1, as the letter is
+    no longer unused.
     """
-    state: list = []
-    factorial = [1]
-    for r in range(1, ell + 1):
-        factorial.append(factorial[-1] * r)
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def walk(left: int, tops: tuple[int, ...]) -> int:
+        key = (left, tops)
+        if key in memo:
+            return memo[key]
+        total = 0
+        last = left - 1
+        for i in range(left):
+            tails = list(tops)
+            _pile(tails, i)
+            height = len(tails)
+            if height + last <= k:
+                total += factorial[last]
+            elif height <= k:
+                cut = -i
+                total += walk(last, tuple(t + 1 if t < cut else t for t in tails))
+        memo[key] = total
+        return total
+
+    return walk(ell, ())
+
+
+def _count_words(ell: int, k: int, factorial: list[int]) -> int:
+    """Words of 1..ell whose insertion tableau has at most k rows.
+
+    Walks the prefix tree depth first, row-inserting each letter on the way
+    down and taking it back on the way up.
+    """
+    rows: list[list[int]] = []
     free = list(range(1, ell + 1))  # free[:left] are the unused letters
 
     def walk(left: int) -> int:
-        # the prefix in state has left letters to go and cannot be counted
+        # the prefix in rows has left letters to go and cannot be counted
         # at once; each letter that keeps it at most k is tried in turn
         total = 0
         last = left - 1
@@ -149,42 +174,47 @@ def _count_words(ell: int, k: int, place, unplace) -> int:
             x = free[i]
             free[i] = free[last]
             free[last] = x
-            placed = place(state, x)
-            height = len(state)
+            inserted = _row_insert(rows, x)
+            height = len(rows)
             if height + last <= k:
                 total += factorial[last]
             elif height <= k:
                 total += walk(last)
-            unplace(state, placed)
+            _row_uninsert(rows, inserted)
             free[last] = free[i]
             free[i] = x
         return total
 
-    return factorial[ell] if ell <= k else walk(ell)
+    return walk(ell)
 
 
 def count_avoiders(ell: int, k: int, method: str = "formula", *, allow_large: bool = False) -> int:
     """Permutations of 1..ell with no decreasing subsequence of length k+1.
 
-    Three routes: 'brute' walks the prefix tree of the ell! words carrying
-    patience piles (their number is the longest decrease so far), 'rsk'
-    walks it carrying insertion rows (their number is the tableau height),
-    and 'formula' sums squared hook-length counts. A walk drops a prefix
-    whose statistic is above k, and counts r! at once for a prefix at h
-    with r letters left when h + r <= k. They agree; the slow routes exist
-    as checks, and past ell = BRUTE_GUARD_ELL they need allow_large.
+    Three routes: 'brute' counts patience piles over states of the pile
+    tops among the unused letters (their number is the longest decrease),
+    'rsk' walks the prefix tree of the ell! words carrying insertion rows
+    (their number is the tableau height), and 'formula' sums squared
+    hook-length counts. Both walks drop a prefix whose statistic is above
+    k, and count r! at once for a prefix at h with r letters left when
+    h + r <= k. They agree; the slow routes exist as checks, and past
+    ell = BRUTE_GUARD_ELL ('brute') or RSK_GUARD_ELL ('rsk') they need
+    allow_large.
     """
     _check_ell_k(ell, k)
     if method == "formula":
         return syt_sum_squares(ell, k)
-    if method not in ("brute", "rsk"):
+    routes = {"brute": (_count_piles, BRUTE_GUARD_ELL), "rsk": (_count_words, RSK_GUARD_ELL)}
+    if method not in routes:
         raise ValueError(f"unknown method {method!r}: choose brute, rsk, or formula")
+    count, guard_ell = routes[method]
     check_guard(
-        ell <= BRUTE_GUARD_ELL,
+        ell <= guard_ell,
         allow_large,
-        f"method {method!r} walks {ell}! words (guard: ell <= {BRUTE_GUARD_ELL}); "
+        f"method {method!r} at ell={ell} exceeds its guard (ell <= {guard_ell}); "
         f"method='formula' computes the same count directly",
     )
-    if method == "brute":
-        return _count_words(ell, k, _pile, _unpile)
-    return _count_words(ell, k, _row_insert, _row_uninsert)
+    factorial = [1]
+    for r in range(1, ell + 1):
+        factorial.append(factorial[-1] * r)
+    return factorial[ell] if ell <= k else count(ell, k, factorial)

@@ -8,6 +8,8 @@ means the reader left while that write was under way.
 Exit codes: 0 success (verify: all checks passed), 1 verification failure,
 2 usage or input error, 3 resource guard rejection, 4 internal error (one
 stderr line), 141 quietly when the reader closes stdout early (as SIGPIPE).
+Exit 3 for count avoiders: --method rsk past ell 9, --method brute past
+ell 10.
 """
 
 import argparse

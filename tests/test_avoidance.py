@@ -192,12 +192,23 @@ class TestCountAvoiders:
         assert count_avoiders(7, 3, method) == first
         assert count_avoiders(6, 4, method) == syt_sum_squares(6, 4)
 
+    @pytest.mark.parametrize("ell", range(10, 15))
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_pile_states_past_the_word_walks(self, ell, k):
+        # only the walk over pile-top states reaches these sizes at once
+        assert count_avoiders(ell, k, "brute", allow_large=True) == syt_sum_squares(ell, k)
+
     def test_guard_on_brute_methods(self, monkeypatch):
         monkeypatch.delenv(GUARD_ENV, raising=False)
         with pytest.raises(ResourceLimitError):
             count_avoiders(11, 3, "brute")
         with pytest.raises(ResourceLimitError):
             count_avoiders(11, 3, "rsk")
+        # each route has its own bound: brute reaches one letter past rsk
+        assert count_avoiders(10, 4, "brute") == syt_sum_squares(10, 4)
+        with pytest.raises(ResourceLimitError):
+            count_avoiders(10, 4, "rsk")
+        assert count_avoiders(9, 2, "rsk") == catalan(9)
         # formula route has no factorial blowup and needs no guard
         assert count_avoiders(11, 3, "formula") == syt_sum_squares(11, 3)
 

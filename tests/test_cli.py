@@ -390,6 +390,22 @@ class TestCountAvoiders:
         assert code == EXIT_OK
         assert json.loads(out) == {"ell": 5, "k": 4, "method": "formula", "count": "119"}
 
+    @pytest.mark.parametrize("method, ell, code", [
+        ("brute", 10, EXIT_OK), ("brute", 11, EXIT_GUARD),
+        ("rsk", 9, EXIT_OK), ("rsk", 10, EXIT_GUARD),
+    ])
+    def test_guard_per_route(self, capsys, monkeypatch, method, ell, code):
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        got, out, err = run_main(
+            capsys, "count", "avoiders", "--ell", str(ell), "--k", "2", "--method", method
+        )
+        assert got == code
+        if code == EXIT_OK:
+            assert out.strip() == str(syt_sum_squares(ell, 2))
+        else:
+            assert out == ""
+            assert f"method '{method}'" in err
+
 
 class TestMult:
     def test_json_golden(self, capsys):
