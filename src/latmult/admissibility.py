@@ -1,12 +1,15 @@
 """The admissibility predicate for nested path sequences, and their type.
 
-Both come from one O(ell * k) pass over the band tallies, made once per
-PathSequence object: the verdict (the type, or None when inadmissible) is
-kept in the instance dict, which equality, hashing and repr never see.
+Every clause of the definition is written once, in _fits, one path's step
+at one move. The search grows columns of moves with it (_successors), and
+is_admissible replays a sequence's columns through it from the all-zero
+state, once per PathSequence object: the verdict (the type, read off the
+state after move ell, or None when inadmissible) is kept in the instance
+dict, which equality, hashing and repr never see.
 """
 
 from latmult.partitions import Partition
-from latmult.paths import LatticePath, PathSequence, color_counts
+from latmult.paths import LatticePath, PathSequence
 
 _VERDICT = "_verdict"
 
@@ -17,36 +20,74 @@ def satisfies_diagonal_condition(p: LatticePath) -> bool:
     return all(2 * u <= m for m, u in enumerate(p.up_prefix))
 
 
-def _band_fits(j: int, t: int, left: int, prev: int, room: int) -> bool:
-    """The per-color clauses on band i >= 2 with tally t at color j: the cap
-    t <= prev (band i-1 at color j), the budget t <= room (what color j has
-    left once band 1 and bands 1..i-1 are paid for), and weak monotonicity
-    toward color 0 against left, the band's tally at color j-1 (0 at the
-    first color). The search and is_admissible both test bands with it."""
-    return t <= prev and t <= room and (left <= t if j <= 0 else t <= left)
+def _fits(ell: int, m: int, s: tuple[int, ...], i: int, lower: int, prev: int, room: int,
+          u: int) -> tuple[int, int] | None:
+    """Every clause, on path i+1 moving to up-count u at move m out of state
+    s (the up-counts after move m - 1), with path i at lower after move m.
+    Move m fixes each band's tally at color j = m - ell; prev is band i's
+    and room what band i+1 may still spend there. Returns (band i+1's
+    tally, room for band i+2), or None at the first failing clause. The
+    last move fixes no color, but there every tally and budget is 0."""
+    j = m - ell
+    if u > ell or m - u > ell:  # up or right moves exhausted
+        return None
+    if i == 0:
+        if 2 * u > m:  # first path may not cross the anti-diagonal
+            return None
+        t = u - max(j, 0)
+        return t, ell - abs(j) - 2 * t  # band 1 counts twice in every budget
+    if u < lower:  # nesting above the previous path
+        return None
+    t = u - lower
+    left = s[i] - s[i - 1]  # band i+1's tally at color j - 1 (0 at the first color)
+    # the cap against band i, the budget, weak monotonicity toward color 0
+    if not (t <= prev and t <= room and (left <= t if j <= 0 else t <= left)):
+        return None
+    return t, room - t
+
+
+def _successors(ell: int, m: int, s: tuple[int, ...]) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
+    """The (column, next state) pairs of move m out of state s that pass
+    every clause; column[i] is path i+1's move. The column grows one path at
+    a time and is dropped at its first failing clause, so the 2**(k-1)
+    product of moves is never formed."""
+    partial: list[tuple[tuple[str, ...], tuple[int, ...], int, int]] = [((), (), 0, 0)]
+    for i, before in enumerate(s):
+        grown = []
+        for moves, counts, prev, room in partial:
+            for mv, u in (("R", before), ("U", before + 1)):
+                fit = _fits(ell, m, s, i, counts[-1] if i else 0, prev, room, u)
+                if fit is not None:
+                    grown.append((moves + (mv,), counts + (u,), *fit))
+        partial = grown
+    return [(moves, counts) for moves, counts, _, _ in partial]
 
 
 def _evaluate(z: PathSequence) -> Partition | None:
-    """The type of z, or None when z is inadmissible."""
-    if not satisfies_diagonal_condition(z.paths[0]):
-        return None
-    ell = z.ell
-    colors = range(1 - ell, ell)
-    counts = color_counts(z).counts
-    room = [ell - abs(j) - t for j, t in zip(colors, counts[1])]  # band 1 is paid twice
-    for prev, row in zip(counts[1:], counts[2:]):
-        room = [r - p for r, p in zip(room, prev)]
-        left = 0
-        for j, t, cap, r in zip(colors, row, prev, room):
-            if not _band_fits(j, t, left, cap, r):
+    """The type of z, or None when z is inadmissible: z's columns of moves
+    replayed through _fits from the all-zero state."""
+    ell, s = z.ell, (0,) * len(z.paths)
+    for m, column in enumerate(zip(*(p.moves for p in z.paths)), 1):
+        ups: list[int] = []
+        prev = room = 0
+        for i, mv in enumerate(column):
+            ups.append(s[i] + (mv == "U"))
+            fit = _fits(ell, m, s, i, ups[-2] if i else 0, prev, room, ups[-1])
+            if fit is None:
                 return None
-            left = t
-    return Partition(_type_parts([row[ell - 1] for row in counts], ell))
+            prev, room = fit
+        s = tuple(ups)
+        if m == ell:
+            zero = s
+    return Partition(_type_parts(zero, ell))
 
 
-def _type_parts(column: list[int], ell: int) -> tuple[int, ...]:
-    """The type's parts from an admissible sequence's color-zero band
-    tallies, band 0 first: the column without its zeros."""
+def _type_parts(ups: tuple[int, ...] | list[int], ell: int) -> tuple[int, ...]:
+    """The type's parts from an admissible sequence's up-counts after move
+    ell: a path has that many color-zero boxes below it, so the color-zero
+    band tallies, band 0 first, are differences of them. The type is that
+    column without its zeros."""
+    column = [ell - ups[-1], ups[0]] + [b - a for a, b in zip(ups, ups[1:])]
     if any(a < b for a, b in zip(column, column[1:])):
         raise RuntimeError(f"internal error: color-zero tallies not weakly decreasing: {column}")
     parts = tuple(c for c in column if c > 0)

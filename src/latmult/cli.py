@@ -9,7 +9,8 @@ Exit codes: 0 success (verify: all checks passed), 1 verification failure,
 2 usage or input error, 3 resource guard rejection, 4 internal error (one
 stderr line), 141 quietly when the reader closes stdout early (as SIGPIPE).
 Exit 3 for count avoiders: --method rsk past ell 9, --method brute past
-ell 10.
+ell 10; map tau past (k-1)*ell = 100 000 (TAU_GUARD_CELLS), ell the
+tableau's size.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from latmult import serialize
 from latmult.avoidance import count_avoiders, lds_length
 from latmult.bijections import sigma, tau
 from latmult.enumeration import count_by_type, count_sequences
-from latmult.guards import GUARD_ENV, ResourceLimitError
+from latmult.guards import GUARD_ENV, ResourceLimitError, check_guard
 from latmult.partitions import count_syt, partitions_of, syt_sum, syt_sum_squares
 from latmult.verify import render_report, run_verification
 from latmult.weights import gamma, multiplicity, weight_pairings
@@ -32,6 +33,10 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141
+
+# map tau builds k-1 paths of 2*ell moves, in time and memory linear in
+# (k-1)*ell; past this bound that takes seconds and grows without limit
+TAU_GUARD_CELLS = 100_000
 
 # What a verb hands back to main: (exit code, JSON document, TSV lines).
 Output = tuple[int, object, list]
@@ -205,6 +210,12 @@ def cmd_map(args) -> Output:
     if args.direction == "tau":
         x = serialize.tableau_from_json(payload)
         k = args.k if args.k is not None else max(2, x.shape.height)
+        check_guard(
+            (k - 1) * x.size <= TAU_GUARD_CELLS,
+            args.allow_large,
+            f"map tau at k={k} on {x.size} cells exceeds the default guard "
+            f"((k-1)*ell <= {TAU_GUARD_CELLS})",
+        )
         z = tau(x, k)
         return EXIT_OK, serialize.sequence_to_json(z), [p.moves for p in z.paths]
     z = serialize.sequence_from_json(payload)

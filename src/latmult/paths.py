@@ -8,9 +8,9 @@ to (ell, 0) in unit right and up moves.
 After m moves a path sits on the (m - ell)-diagonal, so the number of boxes
 of color j = m - ell below it equals its up-move count at move ell + j,
 minus max(j, 0). Band tallies are therefore differences of up-move prefix
-counts: color_counts reads them off in O(ell * k), and the search in
-enumeration tests each color's conditions as soon as every path has taken
-ell + j moves.
+counts: the admissibility step tests each color's clauses on them as soon
+as every path has taken ell + j moves, and color_counts reads the whole
+table off in O(ell * k) for callers that want it.
 """
 
 from dataclasses import dataclass

@@ -5,6 +5,8 @@ of box sets on the colored square, sharing no code with the implementation
 under test beyond the path/box primitives it cross-checks elsewhere.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given
 
@@ -13,7 +15,9 @@ from latmult import (
     LatticePath,
     Partition,
     PathSequence,
+    enumerate_admissible,
     is_admissible,
+    path_leq,
     satisfies_diagonal_condition,
     sequence_type,
 )
@@ -71,6 +75,27 @@ def oracle_admissible(z):
     return True
 
 
+def oracle_type(z):
+    """The color-zero band tallies, band 0 first, trailing zeros dropped."""
+    t = oracle_band_counts(z)
+    column = [t[(i, 0)] for i in range(z.k)]
+    while column and column[-1] == 0:
+        column.pop()
+    return Partition(tuple(column))
+
+
+def nested_sequences(ell, k):
+    """Every nested sequence of k-1 paths on the ell square, unpruned."""
+    paths = [
+        LatticePath("".join("U" if m in ups else "R" for m in range(2 * ell)))
+        for ups in itertools.combinations(range(2 * ell), ell)
+    ]
+    chains = [()]
+    for _ in range(k - 1):
+        chains = [c + (p,) for c in chains for p in paths if not c or path_leq(c[-1], p)]
+    return [PathSequence(c) for c in chains]
+
+
 class TestDiagonalCondition:
     def test_one_by_one(self):
         # [TRIVIAL] prefix counts 1R >= 0U, then 1R >= 1U; UR starts with 1U > 0R
@@ -109,6 +134,24 @@ class TestIsAdmissible:
         assert is_admissible(z) == oracle_admissible(z)
 
 
+class TestEveryNestedSequence:
+    """The predicate, the type and the search against the box-set oracle on
+    every nested sequence of a grid, not a sample."""
+
+    @pytest.mark.parametrize(
+        "ell, k", [(ell, k) for ell in range(1, 4) for k in range(2, 6)] + [(4, k) for k in range(2, 5)]
+    )
+    def test_predicate_type_and_search_agree(self, ell, k):
+        admissible = set()
+        for z in nested_sequences(ell, k):
+            verdict = oracle_admissible(z)
+            assert is_admissible(z) == verdict
+            if verdict:
+                assert sequence_type(z) == oracle_type(z)
+                admissible.add(z)
+        assert admissible == set(enumerate_admissible(ell, k))
+
+
 class TestSequenceType:
     def test_one_by_one(self):
         # [TRIVIAL] single 0-colored box above the path
@@ -127,11 +170,7 @@ class TestSequenceType:
     def test_matches_zero_color_bands(self, z):
         if not is_admissible(z):
             return
-        t = oracle_band_counts(z)
-        column = [t[(i, 0)] for i in range(z.k)]
-        while column and column[-1] == 0:
-            column.pop()
-        assert sequence_type(z) == Partition(tuple(column))
+        assert sequence_type(z) == oracle_type(z)
 
     @given(nested_sequences_st())
     def test_type_is_partition_of_ell(self, z):
@@ -175,8 +214,8 @@ class TestVerdictCache:
         import latmult.admissibility as admissibility
 
         built = []
-        real = admissibility.color_counts
-        monkeypatch.setattr(admissibility, "color_counts", lambda z: built.append(z) or real(z))
+        real = admissibility._evaluate
+        monkeypatch.setattr(admissibility, "_evaluate", lambda z: built.append(z) or real(z))
         z = PathSequence((LatticePath("RURU"), LatticePath("RURU")))
         assert is_admissible(z)
         assert sequence_type(z) == Partition((1, 1))

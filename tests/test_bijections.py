@@ -152,14 +152,14 @@ class TestSplitJoin:
         import latmult.admissibility as admissibility
 
         built = []
-        real = admissibility.color_counts
-        monkeypatch.setattr(admissibility, "color_counts", lambda z: built.append(z) or real(z))
+        real = admissibility._evaluate
+        monkeypatch.setattr(admissibility, "_evaluate", lambda z: built.append(z) or real(z))
         z = PathSequence((LatticePath("RRUURU"), LatticePath("RRUURU")))
         assert not is_self_conjugate(z)
         z1, z2 = split(z)
         out = join(z1, z2)
         assert out == z
-        # z, its two halves, and the joined copy: one tally table each
+        # z, its two halves, and the joined copy: one evaluation each
         assert [id(w) for w in built] == [id(z), id(z1), id(z2), id(out)]
 
     @pytest.mark.parametrize("ell", range(1, 5))

@@ -484,6 +484,33 @@ class TestMap:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    def test_tau_guard_on_k(self, capsys, monkeypatch):
+        # refused before any path is built, so a huge k returns at once
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        code, out, err = run_main_stdin(
+            capsys, monkeypatch, "[[1,2],[3,4]]", "map", "tau", "--k", "10000000"
+        )
+        assert code == EXIT_GUARD
+        assert out == ""
+        assert "resource guard" in err
+        assert "--allow-large" in err
+
+    @pytest.mark.parametrize("k, allow, code", [
+        (4, (), EXIT_OK), (5, (), EXIT_GUARD), (5, ("--allow-large",), EXIT_OK),
+    ])
+    def test_tau_guard_bound(self, capsys, monkeypatch, k, allow, code):
+        # at a bound of 12 cells a 4-cell tableau fits with 3 paths, not with 4
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        monkeypatch.setattr(cli, "TAU_GUARD_CELLS", 12)
+        got, out, _ = run_main_stdin(
+            capsys, monkeypatch, "[[1,2],[3,4]]", "map", "tau", "--k", str(k), *allow
+        )
+        assert got == code
+        if code == EXIT_OK:
+            assert len(json.loads(out)["paths"]) == k - 1
+        else:
+            assert out == ""
+
 
 class TestLds:
     def test_word_argument(self, capsys):
