@@ -7,7 +7,7 @@ matching multiplicities of maximal dominant weights for affine type A.
 All arithmetic is exact (Python integers); nothing here uses floats.
 """
 
-from latmult.admissibility import is_admissible, satisfies_diagonal_condition, sequence_type
+from latmult.admissibility import is_admissible, sequence_type
 from latmult.avoidance import Permutation, count_avoiders, lds_length, rsk
 from latmult.bijections import join, sigma, split, tau
 from latmult.enumeration import (
@@ -28,11 +28,8 @@ from latmult.partitions import (
 )
 from latmult.paths import (
     ColorCountTable,
-    ColoredSquare,
     LatticePath,
     PathSequence,
-    box_below_path,
-    box_color,
     color_counts,
     is_self_conjugate,
     path_leq,
@@ -48,14 +45,12 @@ from latmult.weights import (
     gamma,
     maximal_dominant_family,
     multiplicity,
-    null_root,
     weight_pairings,
 )
 
 __all__ = [
     "AffineCartan",
     "ColorCountTable",
-    "ColoredSquare",
     "FamilyEntry",
     "GUARD_ENV",
     "LatticePath",
@@ -66,8 +61,6 @@ __all__ = [
     "RootVector",
     "StandardTableau",
     "WeightVector",
-    "box_below_path",
-    "box_color",
     "color_counts",
     "conjugate",
     "count_avoiders",
@@ -85,14 +78,12 @@ __all__ = [
     "lds_length",
     "maximal_dominant_family",
     "multiplicity",
-    "null_root",
     "partitions_of",
     "path_leq",
     "reflect",
     "render_report",
     "rsk",
     "run_verification",
-    "satisfies_diagonal_condition",
     "sequence_type",
     "sigma",
     "split",
@@ -102,4 +93,4 @@ __all__ = [
     "weight_pairings",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -9,15 +9,9 @@ dict, which equality, hashing and repr never see.
 """
 
 from latmult.partitions import Partition
-from latmult.paths import LatticePath, PathSequence
+from latmult.paths import PathSequence
 
 _VERDICT = "_verdict"
-
-
-def satisfies_diagonal_condition(p: LatticePath) -> bool:
-    """No prefix has more up than right moves, so the path never crosses the
-    anti-diagonal through its endpoints (touching is allowed)."""
-    return all(2 * u <= m for m, u in enumerate(p.up_prefix))
 
 
 def _fits(ell: int, m: int, s: tuple[int, ...], i: int, lower: int, prev: int, room: int,

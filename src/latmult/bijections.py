@@ -20,10 +20,10 @@ def tau(x: StandardTableau, k: int) -> PathSequence:
     if x.shape.height > k:
         raise ValueError(f"tableau height {x.shape.height} exceeds k={k}")
     ell = x.size
-    row_of = {e: i for i, row in enumerate(x.rows, start=1) for e in row}
+    row_index = {e: i for i, row in enumerate(x.rows, start=1) for e in row}
     paths = []
     for i in range(1, k):
-        half = "".join("U" if 2 <= row_of[v] <= i + 1 else "R" for v in range(1, ell + 1))
+        half = "".join("U" if 2 <= row_index[v] <= i + 1 else "R" for v in range(1, ell + 1))
         paths.append(LatticePath(half + reflected_moves(half)))
     z = PathSequence(tuple(paths))
     if _type_of(z) is None:

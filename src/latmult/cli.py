@@ -8,6 +8,8 @@ means the reader left while that write was under way.
 Exit codes: 0 success (verify: all checks passed), 1 verification failure,
 2 usage or input error, 3 resource guard rejection, 4 internal error (one
 stderr line), 141 quietly when the reader closes stdout early (as SIGPIPE).
+Exit 2 for count paths|self-conjugate --per-shape --method formula: the
+per-shape table comes from the path search alone.
 Exit 3 for count avoiders: --method rsk past ell 9, --method brute past
 ell 10; map tau past (k-1)*ell = 100 000 (TAU_GUARD_CELLS), ell the
 tableau's size.
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         verb = what.add_parser(name, help=summary, epilog=per_shape_columns)
         verb.add_argument("--ell", type=int, required=True, help="square size")
         verb.add_argument("--k", type=int, required=True, help="one more than the path count")
-        verb.add_argument("--method", choices=["brute", "formula"], default="formula")
+        verb.add_argument("--method", choices=["brute", "formula"], default=None)
         verb.add_argument("--per-shape", action="store_true",
                           help="per-type table with formula and enumeration columns")
         _add_common(verb)
@@ -145,8 +147,9 @@ def cmd_count_tableaux(args) -> Output:
 
 
 def cmd_count_paths(args) -> Output:
-    meta = {"ell": args.ell, "k": args.k, "method": args.method}
     if args.per_shape:
+        if args.method == "formula":
+            raise ValueError("--per-shape counts by the path search alone; drop --method formula")
         per = count_by_type(args.ell, args.k, allow_large=args.allow_large)
         rows = []
         for lam in partitions_of(args.ell, args.k):
@@ -171,11 +174,12 @@ def cmd_count_paths(args) -> Output:
         lines += [f"{_compact(lam.parts)}\t{f}\t{f2}\t{adm}\t{fixed}"
                   for lam, f, f2, adm, fixed in rows]
         return EXIT_OK, doc, lines
-    if args.method == "formula":
-        value = (syt_sum if args.self_conjugate else syt_sum_squares)(args.ell, args.k)
-    else:
+    meta = {"ell": args.ell, "k": args.k, "method": args.method or "formula"}
+    if args.method == "brute":
         admissible, fixed = count_sequences(args.ell, args.k, allow_large=args.allow_large)
         value = fixed if args.self_conjugate else admissible
+    else:
+        value = (syt_sum if args.self_conjugate else syt_sum_squares)(args.ell, args.k)
     return EXIT_OK, {**meta, "count": str(value)}, [value]
 
 

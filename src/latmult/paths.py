@@ -3,20 +3,20 @@
 The square sits in the fourth quadrant with its upper-left corner at the
 origin. A box is named by its upper-left corner (a, b) with 0 <= a <= ell-1
 and -(ell-1) <= b <= 0, and carries color a + b. Paths run from (0, -ell)
-to (ell, 0) in unit right and up moves.
+to (ell, 0) in unit right and up moves; a path is its move string.
 
 After m moves a path sits on the (m - ell)-diagonal, so the number of boxes
 of color j = m - ell below it equals its up-move count at move ell + j,
 minus max(j, 0). Band tallies are therefore differences of up-move prefix
 counts: the admissibility step tests each color's clauses on them as soon
-as every path has taken ell + j moves, and color_counts reads the whole
-table off in O(ell * k) for callers that want it.
+as every path has taken ell + j moves. color_counts reads the whole table
+off in O(ell * k); no library route calls it.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable
 
 _SWAP = str.maketrans("RU", "UR")
 
@@ -57,32 +57,6 @@ class LatticePath:
         """up_prefix[m] is the number of U moves among the first m moves."""
         return tuple(accumulate((mv == "U" for mv in self.moves), initial=0))
 
-    @cached_property
-    def heights(self) -> tuple[int, ...]:
-        """heights[x-1] is the y coordinate of the horizontal step in column x."""
-        ell = self.ell
-        return tuple(u - ell for u, mv in zip(self.up_prefix, self.moves) if mv == "R")
-
-    @classmethod
-    def from_heights(cls, heights) -> "LatticePath":
-        """Rebuild the move string from the per-column heights vector."""
-        hs = tuple(heights)
-        ell = len(hs)
-        if ell == 0:
-            raise ValueError("heights vector must be nonempty")
-        if any(h < -ell or h > 0 for h in hs):
-            raise ValueError(f"heights must lie in [-{ell}, 0]: {hs!r}")
-        if any(a > b for a, b in zip(hs, hs[1:])):
-            raise ValueError(f"heights must be weakly increasing: {hs!r}")
-        pieces = []
-        y = -ell
-        for h in hs:
-            pieces.append("U" * (h - y))
-            pieces.append("R")
-            y = h
-        pieces.append("U" * (0 - y))
-        return cls("".join(pieces))
-
 
 def reflect(p: LatticePath) -> LatticePath:
     """The mirror image of p across the anti-diagonal from (0, 0) to (ell, -ell)."""
@@ -95,42 +69,6 @@ def path_leq(p: LatticePath, q: LatticePath) -> bool:
     if p.ell != q.ell:
         raise ValueError(f"paths live on different squares: ell {p.ell} vs {q.ell}")
     return all(a <= b for a, b in zip(p.up_prefix, q.up_prefix))
-
-
-@dataclass(frozen=True)
-class ColoredSquare:
-    """The ell by ell grid of boxes; the box cornered at (a, b) has color a + b."""
-
-    ell: int
-
-    def __post_init__(self) -> None:
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
-
-    def box_color(self, a: int, b: int) -> int:
-        if not 0 <= a <= self.ell - 1:
-            raise ValueError(f"a must lie in [0, {self.ell - 1}], got {a}")
-        if not -(self.ell - 1) <= b <= 0:
-            raise ValueError(f"b must lie in [{-(self.ell - 1)}, 0], got {b}")
-        return a + b
-
-    def boxes(self) -> Iterator[tuple[int, int]]:
-        for a in range(self.ell):
-            for b in range(-(self.ell - 1), 1):
-                yield a, b
-
-    def color_count(self, j: int) -> int:
-        """Number of boxes of color j; zero outside the color range."""
-        return max(self.ell - abs(j), 0)
-
-
-def box_color(ell: int, a: int, b: int) -> int:
-    return ColoredSquare(ell).box_color(a, b)
-
-
-def box_below_path(p: LatticePath, a: int, b: int) -> bool:
-    """Is the box cornered at (a, b) below p? Column rule: heights[a] >= b."""
-    return p.heights[a] >= b
 
 
 @dataclass(frozen=True)

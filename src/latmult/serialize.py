@@ -1,23 +1,14 @@
-"""JSON-facing converters shared by the command line front end."""
+"""Converters for the command line's JSON and digit words; no bool or float passes as an int."""
 
 from latmult.avoidance import Permutation
-from latmult.partitions import Partition
 from latmult.paths import LatticePath, PathSequence
 from latmult.tableaux import StandardTableau
 
 
 def _int_list(obj, what: str) -> list[int]:
-    if not isinstance(obj, list) or any(not isinstance(v, int) or isinstance(v, bool) for v in obj):
+    if not isinstance(obj, list) or any(type(v) is not int for v in obj):
         raise ValueError(f"{what} must be a JSON array of integers, got {obj!r}")
     return obj
-
-
-def partition_to_json(lam: Partition) -> list[int]:
-    return list(lam.parts)
-
-
-def partition_from_json(obj) -> Partition:
-    return Partition(tuple(_int_list(obj, "partition")))
 
 
 def tableau_to_json(x: StandardTableau) -> list[list[int]]:
@@ -28,10 +19,6 @@ def tableau_from_json(obj) -> StandardTableau:
     if not isinstance(obj, list):
         raise ValueError(f"tableau must be a JSON array of row arrays, got {obj!r}")
     return StandardTableau(tuple(tuple(_int_list(row, "tableau row")) for row in obj))
-
-
-def path_to_json(p: LatticePath) -> str:
-    return p.moves
 
 
 def path_from_json(obj) -> LatticePath:
@@ -50,6 +37,8 @@ def sequence_from_json(obj) -> PathSequence:
     missing = {"ell", "k", "paths"} - obj.keys()
     if missing:
         raise ValueError(f"sequence object is missing keys: {sorted(missing)}")
+    if type(obj["ell"]) is not int or type(obj["k"]) is not int:
+        raise ValueError(f"'ell' and 'k' must be JSON integers, got {obj['ell']!r}, {obj['k']!r}")
     if not isinstance(obj["paths"], list):
         raise ValueError("sequence 'paths' must be an array of move strings")
     z = PathSequence(tuple(path_from_json(s) for s in obj["paths"]))
@@ -58,14 +47,6 @@ def sequence_from_json(obj) -> PathSequence:
             f"declared ell={obj['ell']}, k={obj['k']} do not match paths (ell={z.ell}, k={z.k})"
         )
     return z
-
-
-def permutation_to_json(w: Permutation) -> list[int]:
-    return list(w.word)
-
-
-def permutation_from_json(obj) -> Permutation:
-    return Permutation(tuple(_int_list(obj, "permutation")))
 
 
 def permutation_from_word(text: str) -> Permutation:

@@ -38,13 +38,6 @@ class StandardTableau:
     def size(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def row_of(self, entry: int) -> int:
-        """1-based index of the row holding entry."""
-        for i, row in enumerate(self.rows, start=1):
-            if entry in row:
-                return i
-        raise ValueError(f"entry {entry} not in tableau")
-
 
 def enumerate_syt(lam: Partition, *, max_size: int = ENUMERATION_MAX_SIZE) -> list[StandardTableau]:
     """Every standard filling of lam, sorted by row-major entry reading.

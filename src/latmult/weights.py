@@ -61,11 +61,6 @@ class RootVector:
             raise ValueError(f"need {self.n} coefficients, got {len(self.coeffs)}")
 
 
-def null_root(n: int) -> RootVector:
-    """The root with every coefficient 1; it pairs to zero with all coroots."""
-    return RootVector(n, (1,) * n)
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """A weight recorded by its coroot pairings; level is the multiple of the

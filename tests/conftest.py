@@ -64,12 +64,22 @@ def admissible_st(draw, max_ell=4, max_k=5):
     return draw(st.sampled_from(all_admissible(ell, k)))
 
 
+def path_from_heights(heights) -> LatticePath:
+    """The path whose right move in column x is taken at height heights[x-1];
+    the heights are weakly increasing and lie in [-ell, 0]."""
+    y, moves = -len(heights), ""
+    for h in heights:
+        moves += "U" * (h - y) + "R"
+        y = h
+    return LatticePath(moves + "U" * -y)
+
+
 @st.composite
 def paths_st(draw, max_ell=5):
     """An arbitrary monotone path, via a weakly increasing height vector."""
     ell = draw(st.integers(1, max_ell))
     heights = sorted(draw(st.lists(st.integers(-ell, 0), min_size=ell, max_size=ell)))
-    return LatticePath.from_heights(heights)
+    return path_from_heights(heights)
 
 
 @st.composite
@@ -83,4 +93,4 @@ def nested_sequences_st(draw, max_ell=4, max_k=5):
     ]
     for i in range(1, k - 1):
         rows[i] = [max(a, b) for a, b in zip(rows[i - 1], rows[i])]
-    return PathSequence(tuple(LatticePath.from_heights(r) for r in rows))
+    return PathSequence(tuple(path_from_heights(r) for r in rows))

@@ -2,7 +2,8 @@
 
 The oracle below re-states every admissibility clause directly in terms
 of box sets on the colored square, sharing no code with the implementation
-under test beyond the path/box primitives it cross-checks elsewhere.
+under test: it lists the boxes and their colors itself, and finds the boxes
+below a path from the path's vertices (test_paths.boxes_weakly_below).
 """
 
 import itertools
@@ -11,14 +12,12 @@ import pytest
 from hypothesis import given
 
 from latmult import (
-    ColoredSquare,
     LatticePath,
     Partition,
     PathSequence,
     enumerate_admissible,
     is_admissible,
     path_leq,
-    satisfies_diagonal_condition,
     sequence_type,
 )
 
@@ -27,17 +26,18 @@ from test_paths import boxes_weakly_below
 
 
 def oracle_band_counts(z):
-    """Band tallies per color from raw box sets."""
+    """Band tallies per color from raw box sets; the box cornered at (a, b)
+    has color a + b."""
     ell, k = z.ell, z.k
-    sq = ColoredSquare(ell)
+    square = {(a, b) for a in range(ell) for b in range(1 - ell, 1)}
     below = [boxes_weakly_below(p) for p in z.paths]
-    bands = [set(sq.boxes()) - below[-1], below[0]]
+    bands = [square - below[-1], below[0]]
     for i in range(2, k):
         bands.insert(i, below[i - 1] - below[i - 2])
     count = {}
     for i in range(k):
         for j in range(-(ell - 1), ell):
-            count[(i, j)] = sum(1 for box in bands[i] if sq.box_color(*box) == j)
+            count[(i, j)] = sum(1 for a, b in bands[i] if a + b == j)
     return count
 
 
@@ -97,19 +97,16 @@ def nested_sequences(ell, k):
 
 
 class TestDiagonalCondition:
-    def test_one_by_one(self):
-        # [TRIVIAL] prefix counts 1R >= 0U, then 1R >= 1U; UR starts with 1U > 0R
-        assert satisfies_diagonal_condition(LatticePath("RU"))
-        assert not satisfies_diagonal_condition(LatticePath("UR"))
-
     @given(paths_st())
     def test_matches_prefix_oracle(self, p):
-        assert satisfies_diagonal_condition(p) == oracle_diagonal(p)
+        # with one path (k = 2) the diagonal is the only clause
+        assert is_admissible(PathSequence((p,))) == oracle_diagonal(p)
 
 
 class TestIsAdmissible:
     def test_smallest_square(self):
-        # [DERIVED] brute force over both 1x1 paths; matches the count 1
+        # [DERIVED] brute force over both 1x1 paths; matches the count 1.
+        # Prefix counts: RU has 1R >= 0U, then 1R >= 1U; UR starts 1U > 0R
         assert is_admissible(PathSequence((LatticePath("RU"),)))
         assert not is_admissible(PathSequence((LatticePath("UR"),)))
 

@@ -363,6 +363,23 @@ class TestCountPaths:
             assert row["brute_admissible"] == row["f_squared"]
             assert row["brute_self_conjugate"] == row["f"]
 
+    @pytest.mark.parametrize("verb", ["paths", "self-conjugate"])
+    @pytest.mark.parametrize("ell", ["3", "9"])
+    def test_per_shape_refuses_formula(self, capsys, monkeypatch, verb, ell):
+        # the table comes from the search alone, so an explicit --method
+        # formula is refused, inside the guard and past it
+        monkeypatch.delenv(GUARD_ENV, raising=False)
+        code, out, err = run_main(
+            capsys, "count", verb, "--ell", ell, "--k", "5", "--per-shape", "--method", "formula"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--per-shape" in err
+        # without --method, or with --method brute, the table is printed
+        _, table, _ = run_main(capsys, "count", verb, "--ell", "3", "--k", "5", "--per-shape")
+        assert run_main(capsys, "count", verb, "--ell", "3", "--k", "5", "--per-shape",
+                        "--method", "brute") == (EXIT_OK, table, "")
+
     def test_guard_exit_code(self, capsys, monkeypatch):
         monkeypatch.delenv(GUARD_ENV, raising=False)
         code, out, err = run_main(
@@ -483,6 +500,10 @@ class TestMap:
         code, _, err = run_main_stdin(capsys, monkeypatch, "[[2,1]]", "map", "tau")
         assert code == EXIT_USAGE
         assert "error:" in err
+        # a JSON boolean or float is no integer, though True == 1 and 2.0 == 2
+        sequence = '{"ell": true, "k": 2.0, "paths": ["RU"]}'
+        code, out, _ = run_main_stdin(capsys, monkeypatch, sequence, "map", "sigma")
+        assert (code, out) == (EXIT_USAGE, "")
 
     def test_tau_guard_on_k(self, capsys, monkeypatch):
         # refused before any path is built, so a huge k returns at once

@@ -6,17 +6,15 @@ a box with upper-left corner (a, b) lies weakly below a path exactly
 when the path passes through some vertex (x, y) with x <= a and y >= b.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
-import hypothesis.strategies as st
 
 from latmult import (
     ColorCountTable,
-    ColoredSquare,
     LatticePath,
     PathSequence,
-    box_below_path,
-    box_color,
     color_counts,
     is_self_conjugate,
     path_leq,
@@ -63,25 +61,6 @@ class TestLatticePath:
         with pytest.raises(ValueError):
             LatticePath("")
 
-    def test_heights_bottom_and_top_paths(self):
-        # [DERIVED] RRUU hugs the bottom-right corner, UURR the top-left
-        assert LatticePath("RRUU").heights == (-2, -2)
-        assert LatticePath("UURR").heights == (0, 0)
-        assert LatticePath("RURU").heights == (-2, -1)
-
-    @given(paths_st())
-    def test_heights_roundtrip(self, p):
-        assert LatticePath.from_heights(p.heights) == p
-
-    @given(paths_st())
-    def test_heights_from_vertex_oracle(self, p):
-        # heights[x-1] is the y at which the path crosses column x
-        verts = vertices(p)
-        for a in range(p.ell):
-            ys = [y for (x, y), (x2, _) in zip(verts, verts[1:]) if x == a and x2 == a + 1]
-            assert len(ys) == 1
-            assert p.heights[a] == ys[0]
-
     @given(paths_st())
     def test_up_prefix_counts(self, p):
         for m in range(len(p.moves) + 1):
@@ -91,41 +70,6 @@ class TestLatticePath:
         p = LatticePath("RURRUU")
         assert vertices(p)[0] == (0, -3)
         assert vertices(p)[-1] == (3, 0)
-
-
-class TestColoredSquare:
-    def test_origin_box_color_zero(self):
-        # [TRIVIAL] the top-left box has color 0
-        assert box_color(3, 0, 0) == 0
-
-    @given(st.integers(1, 8))
-    def test_color_multiplicities(self, ell):
-        # exactly ell - |j| boxes of each color j
-        sq = ColoredSquare(ell)
-        for j in range(-(ell - 1), ell):
-            assert sq.color_count(j) == ell - abs(j)
-        assert sum(sq.color_count(j) for j in range(-(ell - 1), ell)) == ell * ell
-
-    @given(st.integers(1, 6))
-    def test_color_is_coordinate_sum(self, ell):
-        sq = ColoredSquare(ell)
-        for a, b in sq.boxes():
-            assert sq.box_color(a, b) == a + b
-
-    def test_rejects_out_of_range_box(self):
-        with pytest.raises(ValueError):
-            box_color(2, 2, 0)
-        with pytest.raises(ValueError):
-            box_color(2, 0, 1)
-
-
-class TestBoxBelowPath:
-    @given(paths_st())
-    def test_matches_vertex_oracle(self, p):
-        oracle = boxes_weakly_below(p)
-        for a in range(p.ell):
-            for b in range(-(p.ell - 1), 1):
-                assert box_below_path(p, a, b) == ((a, b) in oracle)
 
 
 class TestReflect:
@@ -154,10 +98,11 @@ class TestReflect:
 
     @given(paths_st())
     def test_color_negation(self, p):
-        # a j-colored box reflects to a (-j)-colored box
-        ell = p.ell
-        for a, b in boxes_weakly_below(p):
-            assert box_color(ell, -b, -a) == -box_color(ell, a, b)
+        # a j-colored box below p reflects to a (-j)-colored box below the
+        # reflection; box (a, b) has color a + b
+        before = Counter(a + b for a, b in boxes_weakly_below(p))
+        after = Counter(a + b for a, b in boxes_weakly_below(reflect(p)))
+        assert after == Counter({-j: n for j, n in before.items()})
 
 
 class TestPathLeq:
@@ -237,9 +182,8 @@ class TestColorCounts:
         ell, k = z.ell, z.k
         below = [boxes_weakly_below(p) for p in z.paths]
         table = color_counts(z)
-        sq = ColoredSquare(ell)
         for j in range(-(ell - 1), ell):
-            colored = {box for box in sq.boxes() if sq.box_color(*box) == j}
+            colored = {(a, b) for a in range(ell) for b in range(1 - ell, 1) if a + b == j}
             assert table.t(1, j) == len(colored & below[0])
             for i in range(2, k):
                 assert table.t(i, j) == len(colored & (below[i - 1] - below[i - 2]))

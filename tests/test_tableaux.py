@@ -56,11 +56,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             StandardTableau(((1,), (2, 3)))
 
-    def test_shape_size_row_of(self):
+    def test_shape_and_size(self):
         x = StandardTableau(((1, 3), (2, 6), (4,), (5,)))
         assert x.shape == Partition((2, 2, 1, 1))
         assert x.size == 6
-        assert [x.row_of(e) for e in range(1, 7)] == [1, 2, 1, 3, 4, 2]
 
 
 class TestEnumerate:

@@ -11,12 +11,10 @@ import hypothesis.strategies as st
 
 from latmult import (
     AffineCartan,
-    RootVector,
     WeightVector,
     gamma,
     maximal_dominant_family,
     multiplicity,
-    null_root,
     syt_sum_squares,
     weight_pairings,
 )
@@ -50,9 +48,9 @@ class TestAffineCartan:
     def test_rows_annihilate_null_root(self, n):
         # the all-ones vector spans the kernel
         cartan = AffineCartan(n)
-        delta = null_root(n)
+        delta = (1,) * n
         for i in range(n):
-            assert sum(cartan.a(i, j) * delta.coeffs[j] for j in range(n)) == 0
+            assert sum(cartan.a(i, j) * delta[j] for j in range(n)) == 0
 
     def test_rejects_small_rank(self):
         with pytest.raises(ValueError):
@@ -152,6 +150,3 @@ class TestFamily:
             assert entry.weight == weight_pairings(k, entry.root)
             assert entry.weight.is_dominant
             assert entry.multiplicity == syt_sum_squares(entry.ell, k)
-
-    def test_null_root_shape(self):
-        assert null_root(5) == RootVector(5, (1, 1, 1, 1, 1))
