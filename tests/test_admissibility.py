@@ -97,6 +97,12 @@ def nested_sequences(ell, k):
 
 
 class TestDiagonalCondition:
+    def test_one_by_one(self):
+        # [TRIVIAL] with one path (k = 2) the diagonal is the only clause.
+        # Prefix counts 1R >= 0U, then 1R >= 1U; UR starts with 1U > 0R
+        assert is_admissible(PathSequence((LatticePath("RU"),)))
+        assert not is_admissible(PathSequence((LatticePath("UR"),)))
+
     @given(paths_st())
     def test_matches_prefix_oracle(self, p):
         # with one path (k = 2) the diagonal is the only clause
@@ -105,8 +111,7 @@ class TestDiagonalCondition:
 
 class TestIsAdmissible:
     def test_smallest_square(self):
-        # [DERIVED] brute force over both 1x1 paths; matches the count 1.
-        # Prefix counts: RU has 1R >= 0U, then 1R >= 1U; UR starts 1U > 0R
+        # [DERIVED] brute force over both 1x1 paths; matches the count 1
         assert is_admissible(PathSequence((LatticePath("RU"),)))
         assert not is_admissible(PathSequence((LatticePath("UR"),)))
 
