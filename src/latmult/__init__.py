@@ -93,4 +93,4 @@ __all__ = [
     "weight_pairings",
 ]
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

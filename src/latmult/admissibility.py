@@ -2,10 +2,11 @@
 
 Every clause of the definition is written once, in _fits, one path's step
 at one move. The search grows columns of moves with it (_successors), and
-is_admissible replays a sequence's columns through it from the all-zero
-state, once per PathSequence object: the verdict (the type, read off the
-state after move ell, or None when inadmissible) is kept in the instance
-dict, which equality, hashing and repr never see.
+is_admissible replays through it the paths' cached up_prefix tables (which
+nesting validation has already built when k > 2), move by move, once per
+PathSequence object. The verdict (the type, read off the state after move
+ell, or None when inadmissible) is kept in the instance dict, which
+equality, hashing and repr never see.
 """
 
 from latmult.partitions import Partition
@@ -58,22 +59,18 @@ def _successors(ell: int, m: int, s: tuple[int, ...]) -> list[tuple[tuple[str, .
 
 
 def _evaluate(z: PathSequence) -> Partition | None:
-    """The type of z, or None when z is inadmissible: z's columns of moves
-    replayed through _fits from the all-zero state."""
-    ell, s = z.ell, (0,) * len(z.paths)
-    for m, column in enumerate(zip(*(p.moves for p in z.paths)), 1):
-        ups: list[int] = []
+    """The type of z, or None when z is inadmissible: z's up-count states,
+    states[m] the paths' up-counts after move m, replayed through _fits."""
+    ell = z.ell
+    states = list(zip(*(p.up_prefix for p in z.paths)))
+    for m, (s, ups) in enumerate(zip(states, states[1:]), 1):
         prev = room = 0
-        for i, mv in enumerate(column):
-            ups.append(s[i] + (mv == "U"))
-            fit = _fits(ell, m, s, i, ups[-2] if i else 0, prev, room, ups[-1])
+        for i, u in enumerate(ups):
+            fit = _fits(ell, m, s, i, ups[i - 1] if i else 0, prev, room, u)
             if fit is None:
                 return None
             prev, room = fit
-        s = tuple(ups)
-        if m == ell:
-            zero = s
-    return Partition(_type_parts(zero, ell))
+    return Partition(_type_parts(states[ell], ell))
 
 
 def _type_parts(ups: tuple[int, ...] | list[int], ell: int) -> tuple[int, ...]:

@@ -41,10 +41,6 @@ class Permutation:
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation of 1..{len(word)}: {word!r}")
 
-    @property
-    def size(self) -> int:
-        return len(self.word)
-
 
 def _pile(tails: list[int], x: int) -> None:
     # one patience step on negated values: strictly decreasing runs in the

@@ -65,9 +65,8 @@ def split(z: PathSequence) -> tuple[PathSequence, PathSequence]:
     halves = [(p.moves[:ell], p.moves[ell:]) for p in z.paths]
     first = PathSequence(tuple(LatticePath(lo + reflected_moves(lo)) for lo, _ in halves))
     second = PathSequence(tuple(LatticePath(reflected_moves(hi) + hi) for _, hi in halves))
-    for part in (first, second):
-        if not is_self_conjugate(part) or _type_of(part) != lam:
-            raise RuntimeError("internal error: split output failed validation")
+    if _type_of(first) != lam or _type_of(second) != lam:  # both self-conjugate by construction
+        raise RuntimeError("internal error: split output failed validation")
     return first, second
 
 

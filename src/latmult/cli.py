@@ -25,7 +25,7 @@ from latmult.avoidance import count_avoiders, lds_length
 from latmult.bijections import sigma, tau
 from latmult.enumeration import count_by_type, count_sequences
 from latmult.guards import GUARD_ENV, ResourceLimitError, check_guard
-from latmult.partitions import count_syt, partitions_of, syt_sum, syt_sum_squares
+from latmult.partitions import _check_ell_k, count_syt, partitions_of, syt_sum, syt_sum_squares
 from latmult.verify import render_report, run_verification
 from latmult.weights import gamma, multiplicity, weight_pairings
 
@@ -42,6 +42,9 @@ TAU_GUARD_CELLS = 100_000
 
 # What a verb hands back to main: (exit code, JSON document, TSV lines).
 Output = tuple[int, object, list]
+
+# count paths|self-conjugate --per-shape: the columns after lambda, in order
+PER_SHAPE_COLUMNS = ("f", "f_squared", "brute_admissible", "brute_self_conjugate")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -73,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(tab)
     tab.set_defaults(handler=cmd_count_tableaux, default_format="tsv")
 
-    per_shape_columns = ("TSV columns with --per-shape: lambda, f, f_squared, "
-                         "brute_admissible, brute_self_conjugate.")
+    per_shape_columns = ("TSV columns with --per-shape: "
+                         f"{', '.join(('lambda',) + PER_SHAPE_COLUMNS)}.")
     for name, summary, self_conjugate in (
         ("paths", "admissible nested path sequences", False),
         ("self-conjugate", "reflection-fixed admissible sequences", True),
@@ -131,11 +134,13 @@ def _compact(values) -> str:
 
 
 def cmd_count_tableaux(args) -> Output:
-    total = syt_sum(args.ell, args.max_height)
     meta = {"ell": args.ell, "max_height": args.max_height}
     if not args.per_shape:
+        total = syt_sum(args.ell, args.max_height)
         return EXIT_OK, {**meta, "count": str(total)}, [total]
+    _check_ell_k(args.ell, args.max_height)  # the checks syt_sum makes
     rows = [(lam, count_syt(lam)) for lam in partitions_of(args.ell, args.max_height)]
+    total = sum(f for _, f in rows)
     doc = {
         **meta,
         "total": str(total),
@@ -152,27 +157,19 @@ def cmd_count_paths(args) -> Output:
             raise ValueError("--per-shape counts by the path search alone; drop --method formula")
         per = count_by_type(args.ell, args.k, allow_large=args.allow_large)
         rows = []
-        for lam in partitions_of(args.ell, args.k):
+        for lam, (adm, fixed) in per.items():  # keys in partitions_of order
             f = count_syt(lam)
-            adm, fixed = per[lam]
-            rows.append((lam, f, f * f, adm, fixed))
+            rows.append((lam, [str(v) for v in (f, f * f, adm, fixed)]))
         doc = {
             "ell": args.ell,
             "k": args.k,
             "per_shape": [
-                {
-                    "partition": list(lam.parts),
-                    "f": str(f),
-                    "f_squared": str(f2),
-                    "brute_admissible": str(adm),
-                    "brute_self_conjugate": str(fixed),
-                }
-                for lam, f, f2, adm, fixed in rows
+                {"partition": list(lam.parts), **dict(zip(PER_SHAPE_COLUMNS, values))}
+                for lam, values in rows
             ],
         }
-        lines = ["lambda\tf\tf_squared\tbrute_admissible\tbrute_self_conjugate"]
-        lines += [f"{_compact(lam.parts)}\t{f}\t{f2}\t{adm}\t{fixed}"
-                  for lam, f, f2, adm, fixed in rows]
+        lines = ["\t".join(("lambda",) + PER_SHAPE_COLUMNS)]
+        lines += ["\t".join([_compact(lam.parts), *values]) for lam, values in rows]
         return EXIT_OK, doc, lines
     meta = {"ell": args.ell, "k": args.k, "method": args.method or "formula"}
     if args.method == "brute":

@@ -9,8 +9,10 @@ After m moves a path sits on the (m - ell)-diagonal, so the number of boxes
 of color j = m - ell below it equals its up-move count at move ell + j,
 minus max(j, 0). Band tallies are therefore differences of up-move prefix
 counts: the admissibility step tests each color's clauses on them as soon
-as every path has taken ell + j moves. color_counts reads the whole table
-off in O(ell * k); no library route calls it.
+as every path has taken ell + j moves. Each path caches those counts once,
+as up_prefix. path_leq reads them to check nesting when a PathSequence is
+built, is_admissible replays them as its up-count states, and color_counts
+reads the whole table off them in O(ell * k); no library route calls it.
 """
 
 from dataclasses import dataclass

@@ -1,6 +1,7 @@
 """Standard Young tableaux and an exhaustive backtracking enumerator."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from latmult.guards import check_guard
 from latmult.partitions import Partition
@@ -18,8 +19,7 @@ class StandardTableau:
     def __post_init__(self) -> None:
         rows = tuple(tuple(r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
-        shape = Partition(tuple(len(r) for r in rows))
-        n = shape.size
+        n = self.shape.size  # builds and validates the cached shape
         entries = sorted(e for row in rows for e in row)
         if entries != list(range(1, n + 1)):
             raise ValueError(f"entries must be exactly 1..{n}: {rows!r}")
@@ -30,25 +30,25 @@ class StandardTableau:
             if any(upper[j] >= lower[j] for j in range(len(lower))):
                 raise ValueError(f"columns not strictly increasing: {rows!r}")
 
-    @property
+    @cached_property
     def shape(self) -> Partition:
         return Partition(tuple(len(r) for r in self.rows))
 
     @property
     def size(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return self.shape.size
 
 
-def enumerate_syt(lam: Partition, *, max_size: int = ENUMERATION_MAX_SIZE) -> list[StandardTableau]:
+def enumerate_syt(lam: Partition, *, allow_large: bool = False) -> list[StandardTableau]:
     """Every standard filling of lam, sorted by row-major entry reading.
 
     Places each value 1..n in turn at every cell that keeps the partial
     filling a Young diagram, then sorts the completed fillings.
     """
     check_guard(
-        lam.size <= max_size,
-        False,
-        f"partition size {lam.size} exceeds the tableau enumeration guard max_size={max_size}",
+        lam.size <= ENUMERATION_MAX_SIZE,
+        allow_large,
+        f"partition size {lam.size} exceeds the tableau guard (size <= {ENUMERATION_MAX_SIZE})",
     )
     parts = lam.parts
     height = len(parts)

@@ -65,7 +65,8 @@ def _check_cell(ell: int, k: int, allow_large: bool) -> list[CheckResult]:
             break
     check("per-type-counts", not detail, detail)
 
-    witness("tableau-roundtrip", (x for lam in partitions_of(ell, k) for x in enumerate_syt(lam)),
+    syt = (x for lam in partitions_of(ell, k) for x in enumerate_syt(lam, allow_large=allow_large))
+    witness("tableau-roundtrip", syt,
             lambda x: sigma(tau(x, k)) != x, lambda x: f"tableau {[list(r) for r in x.rows]}")
     witness("sequence-roundtrip", fixed, lambda z: tau(sigma(z), k) != z, sequence)
     witness("split-join-roundtrip", seqs, lambda z: join(*split(z)) != z, sequence)

@@ -86,7 +86,7 @@ class TestPermutation:
             Permutation(())
 
     def test_size(self):
-        assert Permutation((2, 1, 3)).size == 3
+        assert len(Permutation((2, 1, 3)).word) == 3
 
 
 class TestLdsLength:

@@ -294,6 +294,54 @@ def test_golden_stdout(capsysbinary, monkeypatch, argv, stdin, code, out):
     assert capsysbinary.readouterr().out == out
 
 
+# Exact --help of the verbs whose epilog lists the per-shape columns, at a
+# fixed 80-column width.
+HELP_GOLDEN = {
+    "paths": (
+        b'usage: latmult count paths [-h] --ell ELL --k K [--method {brute,formula}]\n'
+        b'                           [--per-shape] [--format {json,tsv}] [--allow-large]\n'
+        b'\n'
+        b'options:\n'
+        b'  -h, --help            show this help message and exit\n'
+        b'  --ell ELL             square size\n'
+        b'  --k K                 one more than the path count\n'
+        b'  --method {brute,formula}\n'
+        b'  --per-shape           per-type table with formula and enumeration columns\n'
+        b'  --format {json,tsv}   output format (default depends on the command)\n'
+        b'  --allow-large         override resource guards (equivalent:\n'
+        b'                        LATMULT_GUARD_OVERRIDE=1)\n'
+        b'\n'
+        b'TSV columns with --per-shape: lambda, f, f_squared, brute_admissible,\n'
+        b'brute_self_conjugate.\n'
+    ),
+    "self-conjugate": (
+        b'usage: latmult count self-conjugate [-h] --ell ELL --k K\n'
+        b'                                    [--method {brute,formula}] [--per-shape]\n'
+        b'                                    [--format {json,tsv}] [--allow-large]\n'
+        b'\n'
+        b'options:\n'
+        b'  -h, --help            show this help message and exit\n'
+        b'  --ell ELL             square size\n'
+        b'  --k K                 one more than the path count\n'
+        b'  --method {brute,formula}\n'
+        b'  --per-shape           per-type table with formula and enumeration columns\n'
+        b'  --format {json,tsv}   output format (default depends on the command)\n'
+        b'  --allow-large         override resource guards (equivalent:\n'
+        b'                        LATMULT_GUARD_OVERRIDE=1)\n'
+        b'\n'
+        b'TSV columns with --per-shape: lambda, f, f_squared, brute_admissible,\n'
+        b'brute_self_conjugate.\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", HELP_GOLDEN)
+def test_help_golden(capsysbinary, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["count", verb, "--help"]) == EXIT_OK
+    assert capsysbinary.readouterr().out == HELP_GOLDEN[verb]
+
+
 class TestCountTableaux:
     def test_scalar_tsv(self, capsys):
         code, out, _ = run_main(capsys, "count", "tableaux", "--ell", "6", "--max-height", "5")

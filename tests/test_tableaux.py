@@ -103,9 +103,12 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError):
             enumerate_syt(Partition((7, 6)))
 
-    def test_guard_override_via_parameter(self):
+    def test_guard_override_via_parameter(self, monkeypatch):
+        from latmult import GUARD_ENV
+
+        monkeypatch.delenv(GUARD_ENV, raising=False)
         big = Partition((7, 6))
-        got = enumerate_syt(big, max_size=13)
+        got = enumerate_syt(big, allow_large=True)
         assert len(got) == count_syt(big)
 
     def test_guard_override_via_environment(self, monkeypatch):

@@ -140,6 +140,33 @@ class TestMultiplicity:
             multiplicity(10, 1, 3)
 
 
+# One bad argument at a time, with the message each entry point reports.
+BAD_ARGUMENTS = [
+    pytest.param((1, 4, 1), r"^n must be >= 2, got 1$", id="n<2"),
+    pytest.param((10, 1, 3), r"^k must be >= 2, got 1$", id="k<2"),
+    pytest.param((10, 4, 0),
+                 r"^ell must satisfy 1 <= ell <= floor\(n/2\) = 5, got 0$", id="ell=0"),
+    pytest.param((10, 4, 6),
+                 r"^ell must satisfy 1 <= ell <= floor\(n/2\) = 5, got 6$", id="ell>n//2"),
+]
+
+
+class TestMessages:
+    @pytest.mark.parametrize("args, message", BAD_ARGUMENTS)
+    def test_multiplicity(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            multiplicity(*args)
+
+    @pytest.mark.parametrize("n, k, message", [
+        (1, 4, r"^n must be >= 2, got 1$"),
+        (10, 1, r"^k must be >= 2, got 1$"),
+    ])
+    def test_maximal_dominant_family(self, n, k, message):
+        # ell is not an argument here: the family spans every valid ell
+        with pytest.raises(ValueError, match=message):
+            maximal_dominant_family(n, k)
+
+
 class TestFamily:
     @given(st.integers(2, 12), st.integers(2, 5))
     def test_one_entry_per_ell(self, n, k):
