@@ -6,12 +6,18 @@ splits it into its two reflection-fixed halves, reads each half back to a
 standard tableau, and rejoins. Every printed identity is recomputed live.
 
 Usage: python scripts/bijection_demo.py --ell 5 --k 4 [--seed 7]
+
+Takes ell <= 6 and k <= 5, the enumeration guard. Past it the script
+refuses as the CLI does: one `resource guard: ...` line on stderr, nothing
+on stdout, exit 3.
 """
 
 import argparse
 import random
+import sys
 
 from latmult import (
+    ResourceLimitError,
     enumerate_admissible,
     join,
     sequence_type,
@@ -19,6 +25,7 @@ from latmult import (
     split,
     tau,
 )
+from latmult.cli import EXIT_GUARD
 
 
 def show_sequence(label, z) -> None:
@@ -41,7 +48,11 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    z = rng.choice(enumerate_admissible(args.ell, args.k))
+    try:
+        z = rng.choice(enumerate_admissible(args.ell, args.k))
+    except ResourceLimitError as exc:
+        print(f"resource guard: {exc}", file=sys.stderr)
+        sys.exit(EXIT_GUARD)
 
     show_sequence("admissible sequence z", z)
     z1, z2 = split(z)

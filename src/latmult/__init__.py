@@ -16,7 +16,7 @@ from latmult.enumeration import (
     enumerate_admissible,
     enumerate_self_conjugate,
 )
-from latmult.guards import GUARD_ENV, ResourceLimitError
+from latmult.guards import ResourceLimitError
 from latmult.partitions import (
     Partition,
     conjugate,
@@ -52,7 +52,6 @@ __all__ = [
     "AffineCartan",
     "ColorCountTable",
     "FamilyEntry",
-    "GUARD_ENV",
     "LatticePath",
     "Partition",
     "PathSequence",
@@ -93,4 +92,4 @@ __all__ = [
     "weight_pairings",
 ]
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

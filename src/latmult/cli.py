@@ -24,7 +24,7 @@ from latmult import serialize
 from latmult.avoidance import count_avoiders, lds_length
 from latmult.bijections import sigma, tau
 from latmult.enumeration import count_by_type, count_sequences
-from latmult.guards import GUARD_ENV, ResourceLimitError, check_guard
+from latmult.guards import ResourceLimitError, check_guard
 from latmult.partitions import _check_ell_k, count_syt, partitions_of, syt_sum, syt_sum_squares
 from latmult.verify import render_report, run_verification
 from latmult.weights import gamma, multiplicity, weight_pairings
@@ -51,7 +51,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "tsv"], default=None,
                    help="output format (default depends on the command)")
     p.add_argument("--allow-large", action="store_true",
-                   help=f"override resource guards (equivalent: {GUARD_ENV}=1)")
+                   help="override resource guards")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,22 +1,12 @@
 """Resource guards shared by the enumeration-heavy entry points."""
 
-import os
-
-GUARD_ENV = "LATMULT_GUARD_OVERRIDE"
-
 
 class ResourceLimitError(RuntimeError):
-    """A computation would exceed its size guard and no override is active."""
-
-
-def guard_overridden(allow_large: bool = False) -> bool:
-    return allow_large or bool(os.environ.get(GUARD_ENV))
+    """A computation would exceed its size guard and the call did not lift it."""
 
 
 def check_guard(within: bool, allow_large: bool, message: str) -> None:
-    """Raise ResourceLimitError unless the size is in bounds or overridden."""
-    if within or guard_overridden(allow_large):
+    """Raise ResourceLimitError unless the size is in bounds or allow_large is set."""
+    if within or allow_large:
         return
-    raise ResourceLimitError(
-        f"{message}; pass allow_large=True (CLI: --allow-large) or set {GUARD_ENV}=1"
-    )
+    raise ResourceLimitError(f"{message}; pass allow_large=True (CLI: --allow-large)")

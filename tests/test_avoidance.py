@@ -13,7 +13,6 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from latmult import (
-    GUARD_ENV,
     Permutation,
     ResourceLimitError,
     count_avoiders,
@@ -198,8 +197,7 @@ class TestCountAvoiders:
         # only the walk over pile-top states reaches these sizes at once
         assert count_avoiders(ell, k, "brute", allow_large=True) == syt_sum_squares(ell, k)
 
-    def test_guard_on_brute_methods(self, monkeypatch):
-        monkeypatch.delenv(GUARD_ENV, raising=False)
+    def test_guard_on_brute_methods(self):
         with pytest.raises(ResourceLimitError):
             count_avoiders(11, 3, "brute")
         with pytest.raises(ResourceLimitError):

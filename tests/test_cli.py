@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from latmult import GUARD_ENV, cli, syt_sum, syt_sum_squares
+from latmult import cli, syt_sum, syt_sum_squares
 from latmult.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_GUARD,
@@ -287,7 +287,6 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, stdin, code, out", GOLDEN)
 def test_golden_stdout(capsysbinary, monkeypatch, argv, stdin, code, out):
-    monkeypatch.delenv(GUARD_ENV, raising=False)
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert main(argv.split()) == code
@@ -308,8 +307,7 @@ HELP_GOLDEN = {
         b'  --method {brute,formula}\n'
         b'  --per-shape           per-type table with formula and enumeration columns\n'
         b'  --format {json,tsv}   output format (default depends on the command)\n'
-        b'  --allow-large         override resource guards (equivalent:\n'
-        b'                        LATMULT_GUARD_OVERRIDE=1)\n'
+        b'  --allow-large         override resource guards\n'
         b'\n'
         b'TSV columns with --per-shape: lambda, f, f_squared, brute_admissible,\n'
         b'brute_self_conjugate.\n'
@@ -326,8 +324,7 @@ HELP_GOLDEN = {
         b'  --method {brute,formula}\n'
         b'  --per-shape           per-type table with formula and enumeration columns\n'
         b'  --format {json,tsv}   output format (default depends on the command)\n'
-        b'  --allow-large         override resource guards (equivalent:\n'
-        b'                        LATMULT_GUARD_OVERRIDE=1)\n'
+        b'  --allow-large         override resource guards\n'
         b'\n'
         b'TSV columns with --per-shape: lambda, f, f_squared, brute_admissible,\n'
         b'brute_self_conjugate.\n'
@@ -413,10 +410,9 @@ class TestCountPaths:
 
     @pytest.mark.parametrize("verb", ["paths", "self-conjugate"])
     @pytest.mark.parametrize("ell", ["3", "9"])
-    def test_per_shape_refuses_formula(self, capsys, monkeypatch, verb, ell):
+    def test_per_shape_refuses_formula(self, capsys, verb, ell):
         # the table comes from the search alone, so an explicit --method
         # formula is refused, inside the guard and past it
-        monkeypatch.delenv(GUARD_ENV, raising=False)
         code, out, err = run_main(
             capsys, "count", verb, "--ell", ell, "--k", "5", "--per-shape", "--method", "formula"
         )
@@ -428,8 +424,7 @@ class TestCountPaths:
         assert run_main(capsys, "count", verb, "--ell", "3", "--k", "5", "--per-shape",
                         "--method", "brute") == (EXIT_OK, table, "")
 
-    def test_guard_exit_code(self, capsys, monkeypatch):
-        monkeypatch.delenv(GUARD_ENV, raising=False)
+    def test_guard_exit_code(self, capsys):
         code, out, err = run_main(
             capsys, "count", "paths", "--ell", "9", "--k", "5", "--method", "brute"
         )
@@ -459,8 +454,7 @@ class TestCountAvoiders:
         ("brute", 10, EXIT_OK), ("brute", 11, EXIT_GUARD),
         ("rsk", 9, EXIT_OK), ("rsk", 10, EXIT_GUARD),
     ])
-    def test_guard_per_route(self, capsys, monkeypatch, method, ell, code):
-        monkeypatch.delenv(GUARD_ENV, raising=False)
+    def test_guard_per_route(self, capsys, method, ell, code):
         got, out, err = run_main(
             capsys, "count", "avoiders", "--ell", str(ell), "--k", "2", "--method", method
         )
@@ -555,7 +549,6 @@ class TestMap:
 
     def test_tau_guard_on_k(self, capsys, monkeypatch):
         # refused before any path is built, so a huge k returns at once
-        monkeypatch.delenv(GUARD_ENV, raising=False)
         code, out, err = run_main_stdin(
             capsys, monkeypatch, "[[1,2],[3,4]]", "map", "tau", "--k", "10000000"
         )
@@ -569,7 +562,6 @@ class TestMap:
     ])
     def test_tau_guard_bound(self, capsys, monkeypatch, k, allow, code):
         # at a bound of 12 cells a 4-cell tableau fits with 3 paths, not with 4
-        monkeypatch.delenv(GUARD_ENV, raising=False)
         monkeypatch.setattr(cli, "TAU_GUARD_CELLS", 12)
         got, out, _ = run_main_stdin(
             capsys, monkeypatch, "[[1,2],[3,4]]", "map", "tau", "--k", str(k), *allow
@@ -759,10 +751,9 @@ class TestExitCodeContract:
 
     @staticmethod
     def run(argv, stdin):
-        """main's exit code and stdout, with the guard override unset."""
+        """main's exit code and stdout."""
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
-            mp.delenv(GUARD_ENV, raising=False)
             mp.setattr(sys, "stdin", io.StringIO(stdin))
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)

@@ -14,7 +14,6 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from latmult import (
-    GUARD_ENV,
     LatticePath,
     Partition,
     PathSequence,
@@ -179,8 +178,7 @@ class TestCountByType:
 
 
 class TestGuards:
-    def test_oversized_rejected(self, monkeypatch):
-        monkeypatch.delenv(GUARD_ENV, raising=False)
+    def test_oversized_rejected(self):
         with pytest.raises(ResourceLimitError):
             enumerate_admissible(7, 3)
         with pytest.raises(ResourceLimitError):
@@ -190,11 +188,6 @@ class TestGuards:
         admissible, fixed = count_sequences(3, 6, allow_large=True)
         assert admissible == syt_sum_squares(3, 6)
         assert fixed == syt_sum(3, 6)
-
-    def test_override_environment(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV, "1")
-        admissible, _ = count_sequences(3, 6)
-        assert admissible == syt_sum_squares(3, 6)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

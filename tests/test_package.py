@@ -1,10 +1,26 @@
 """The package surface: every exported name resolves, README's Library
-example runs as written, and the two version strings agree."""
+example runs as written, the two version strings agree, and a guard is
+lifted only by the call's own allow_large, never by the environment."""
 
+import io
 import re
+import sys
 from pathlib import Path
 
+import pytest
+
 import latmult
+from latmult import (
+    Partition,
+    ResourceLimitError,
+    cli,
+    count_avoiders,
+    count_by_type,
+    count_sequences,
+    enumerate_admissible,
+    enumerate_syt,
+    run_verification,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,3 +44,38 @@ def test_version_matches_pyproject():
     declared = re.search(r'^version\s*=\s*"([^"]+)"', pyproject, re.M)
     assert declared is not None
     assert declared.group(1) == latmult.__version__
+
+
+# The variable that lifted every guard before 0.4.0
+REMOVED_OVERRIDE = "LATMULT_GUARD_OVERRIDE"
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: count_sequences(7, 3), id="count_sequences"),
+    pytest.param(lambda: count_by_type(7, 3), id="count_by_type"),
+    pytest.param(lambda: enumerate_admissible(7, 3), id="enumerate_admissible"),
+    pytest.param(lambda: count_avoiders(11, 2, "brute"), id="avoiders-brute"),
+    pytest.param(lambda: count_avoiders(10, 2, "rsk"), id="avoiders-rsk"),
+    pytest.param(lambda: enumerate_syt(Partition((7, 6))), id="enumerate_syt"),
+    pytest.param(lambda: run_verification(7, 2), id="run_verification"),
+])
+def test_environment_lifts_no_guard(monkeypatch, call):
+    monkeypatch.setenv(REMOVED_OVERRIDE, "1")
+    with pytest.raises(ResourceLimitError):
+        call()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["count", "paths", "--ell", "7", "--k", "3", "--method", "brute"],
+                 id="count-paths-brute"),
+    pytest.param(["map", "tau", "--k", "5"], id="map-tau"),
+])
+def test_environment_lifts_no_cli_guard(capsys, monkeypatch, argv):
+    monkeypatch.setenv(REMOVED_OVERRIDE, "1")
+    # at a bound of 12 cells a 4-cell tableau does not fit with 4 paths
+    monkeypatch.setattr(cli, "TAU_GUARD_CELLS", 12)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[[1,2],[3,4]]"))
+    assert cli.main(argv) == cli.EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource guard: ")

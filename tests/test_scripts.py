@@ -8,16 +8,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bijection_demo_runs_clean():
+def run_demo(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bijection_demo.py"),
-         "--ell", "4", "--k", "3", "--seed", "1"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bijection_demo.py"), *argv],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_bijection_demo_runs_clean():
+    proc = run_demo("--ell", "4", "--k", "3", "--seed", "1")
     assert proc.returncode == 0, proc.stderr
     assert "join(z1, z2) == z: ok" in proc.stdout.splitlines()
     assert "tau(sigma(zi)) == zi for both halves: ok" in proc.stdout.splitlines()
+
+
+def test_bijection_demo_refuses_past_the_guard():
+    # as the CLI refuses: one stderr line, empty stdout, exit 3; no traceback
+    proc = run_demo("--ell", "7", "--k", "3")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("resource guard: enumeration at ell=7, k=3")

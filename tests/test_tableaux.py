@@ -96,24 +96,13 @@ class TestEnumerate:
         assert keys == sorted(keys)
         assert x in siblings
 
-    def test_guard_on_large_shape(self, monkeypatch):
-        from latmult import GUARD_ENV, ResourceLimitError
+    def test_guard_on_large_shape(self):
+        from latmult import ResourceLimitError
 
-        monkeypatch.delenv(GUARD_ENV, raising=False)
         with pytest.raises(ResourceLimitError):
             enumerate_syt(Partition((7, 6)))
 
-    def test_guard_override_via_parameter(self, monkeypatch):
-        from latmult import GUARD_ENV
-
-        monkeypatch.delenv(GUARD_ENV, raising=False)
+    def test_guard_override_via_parameter(self):
         big = Partition((7, 6))
         got = enumerate_syt(big, allow_large=True)
         assert len(got) == count_syt(big)
-
-    def test_guard_override_via_environment(self, monkeypatch):
-        from latmult import GUARD_ENV
-
-        monkeypatch.setenv(GUARD_ENV, "1")
-        got = enumerate_syt(Partition((7, 6)))
-        assert len(got) == count_syt(Partition((7, 6)))

@@ -48,9 +48,8 @@ class TestRunVerification:
     def test_allow_large_reaches_tableau_enumeration(self, monkeypatch):
         # the override passes through to enumerate_syt, past its size guard
         import latmult.tableaux as tableaux
-        from latmult import GUARD_ENV, ResourceLimitError
+        from latmult import ResourceLimitError
 
-        monkeypatch.delenv(GUARD_ENV, raising=False)
         monkeypatch.setattr(tableaux, "ENUMERATION_MAX_SIZE", 2)
         results = run_verification(3, 2, allow_large=True)
         assert len(results) == 3 * len(EXPECTED_CHECKS)  # cells (1..3, 2)
