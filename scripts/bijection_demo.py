@@ -9,7 +9,8 @@ Usage: python scripts/bijection_demo.py --ell 5 --k 4 [--seed 7]
 
 Takes ell <= 6 and k <= 5, the enumeration guard. Past it the script
 refuses as the CLI does: one `resource guard: ...` line on stderr, nothing
-on stdout, exit 3.
+on stdout, exit 3. An ell or k the library refuses (ell < 1, k < 2) ends
+the same way with one `error: ...` line and exit 2.
 """
 
 import argparse
@@ -25,7 +26,7 @@ from latmult import (
     split,
     tau,
 )
-from latmult.cli import EXIT_GUARD
+from latmult.cli import EXIT_GUARD, EXIT_USAGE
 
 
 def show_sequence(label, z) -> None:
@@ -53,6 +54,9 @@ def main() -> None:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         sys.exit(EXIT_GUARD)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
 
     show_sequence("admissible sequence z", z)
     z1, z2 = split(z)

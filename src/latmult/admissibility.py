@@ -2,11 +2,11 @@
 
 Every clause of the definition is written once, in _fits, one path's step
 at one move. The search grows columns of moves with it (_successors), and
-is_admissible replays through it the paths' cached up_prefix tables (which
-nesting validation has already built when k > 2), move by move, once per
-PathSequence object. The verdict (the type, read off the state after move
-ell, or None when inadmissible) is kept in the instance dict, which
-equality, hashing and repr never see.
+is_admissible replays through it the paths' up_prefix tables (built when
+each path is validated), move by move, once per PathSequence object. The
+verdict (the type, read off the state after move ell, or None when
+inadmissible) is kept in the instance dict, which equality, hashing and
+repr never see.
 """
 
 from latmult.partitions import Partition

@@ -213,4 +213,4 @@ def count_avoiders(ell: int, k: int, method: str = "formula", *, allow_large: bo
     factorial = [1]
     for r in range(1, ell + 1):
         factorial.append(factorial[-1] * r)
-    return factorial[ell] if ell <= k else count(ell, k, factorial)
+    return count(ell, k, factorial)

@@ -8,8 +8,9 @@ means the reader left while that write was under way.
 Exit codes: 0 success (verify: all checks passed), 1 verification failure,
 2 usage or input error, 3 resource guard rejection, 4 internal error (one
 stderr line), 141 quietly when the reader closes stdout early (as SIGPIPE).
-Exit 2 for count paths|self-conjugate --per-shape --method formula: the
-per-shape table comes from the path search alone.
+Exit 2 for count paths --per-shape --method formula: the per-shape table
+comes from the path search alone. Since 0.5.0 only count paths takes
+--per-shape; count self-conjugate --per-shape exits 2.
 Exit 3 for count avoiders: --method rsk past ell 9, --method brute past
 ell 10; map tau past (k-1)*ell = 100 000 (TAU_GUARD_CELLS), ell the
 tableau's size.
@@ -43,7 +44,7 @@ TAU_GUARD_CELLS = 100_000
 # What a verb hands back to main: (exit code, JSON document, TSV lines).
 Output = tuple[int, object, list]
 
-# count paths|self-conjugate --per-shape: the columns after lambda, in order
+# count paths --per-shape: the columns after lambda, in order
 PER_SHAPE_COLUMNS = ("f", "f_squared", "brute_admissible", "brute_self_conjugate")
 
 
@@ -78,19 +79,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     per_shape_columns = ("TSV columns with --per-shape: "
                          f"{', '.join(('lambda',) + PER_SHAPE_COLUMNS)}.")
-    for name, summary, self_conjugate in (
-        ("paths", "admissible nested path sequences", False),
-        ("self-conjugate", "reflection-fixed admissible sequences", True),
+    for name, summary, self_conjugate, epilog in (
+        ("paths", "admissible nested path sequences", False, per_shape_columns),
+        ("self-conjugate", "reflection-fixed admissible sequences", True, None),
     ):
-        verb = what.add_parser(name, help=summary, epilog=per_shape_columns)
+        verb = what.add_parser(name, help=summary, epilog=epilog)
         verb.add_argument("--ell", type=int, required=True, help="square size")
         verb.add_argument("--k", type=int, required=True, help="one more than the path count")
         verb.add_argument("--method", choices=["brute", "formula"], default=None)
-        verb.add_argument("--per-shape", action="store_true",
-                          help="per-type table with formula and enumeration columns")
+        if not self_conjugate:
+            verb.add_argument("--per-shape", action="store_true",
+                              help="per-type table with formula and enumeration columns")
         _add_common(verb)
         verb.set_defaults(handler=cmd_count_paths, self_conjugate=self_conjugate,
-                          default_format="tsv")
+                          per_shape=False, default_format="tsv")
 
     avoid = what.add_parser("avoiders", help="permutations with bounded decreasing runs")
     avoid.add_argument("--ell", type=int, required=True, help="word length")

@@ -9,14 +9,14 @@ After m moves a path sits on the (m - ell)-diagonal, so the number of boxes
 of color j = m - ell below it equals its up-move count at move ell + j,
 minus max(j, 0). Band tallies are therefore differences of up-move prefix
 counts: the admissibility step tests each color's clauses on them as soon
-as every path has taken ell + j moves. Each path caches those counts once,
-as up_prefix. path_leq reads them to check nesting when a PathSequence is
-built, is_admissible replays them as its up-count states, and color_counts
-reads the whole table off them in O(ell * k); no library route calls it.
+as every path has taken ell + j moves. Those counts, up_prefix, are built
+when each path is validated. path_leq reads them to check nesting when a
+PathSequence is built, is_admissible replays them as its up-count states,
+and color_counts reads the whole table off them in O(ell * k); no library
+route calls it.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Iterable
 
@@ -43,21 +43,16 @@ class LatticePath:
         n = len(self.moves)
         if n == 0 or n % 2:
             raise ValueError(f"move string must have positive even length: {self.moves!r}")
-        rights = self.moves.count("R")
-        ups = self.moves.count("U")
-        if rights + ups != n:
+        up_prefix = tuple(accumulate((mv == "U" for mv in self.moves), initial=0))
+        if up_prefix[-1] + self.moves.count("R") != n:
             raise ValueError(f"moves must be 'R' and 'U' only: {self.moves!r}")
-        if rights != ups:
+        if 2 * up_prefix[-1] != n:
             raise ValueError(f"need equally many R and U moves: {self.moves!r}")
+        object.__setattr__(self, "up_prefix", up_prefix)  # [m]: U moves among the first m moves
 
     @property
     def ell(self) -> int:
         return len(self.moves) // 2
-
-    @cached_property
-    def up_prefix(self) -> tuple[int, ...]:
-        """up_prefix[m] is the number of U moves among the first m moves."""
-        return tuple(accumulate((mv == "U" for mv in self.moves), initial=0))
 
 
 def reflect(p: LatticePath) -> LatticePath:

@@ -1,7 +1,6 @@
 """Standard Young tableaux and an exhaustive backtracking enumerator."""
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from latmult.guards import check_guard
 from latmult.partitions import Partition
@@ -19,20 +18,17 @@ class StandardTableau:
     def __post_init__(self) -> None:
         rows = tuple(tuple(r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
-        n = self.shape.size  # builds and validates the cached shape
+        shape = Partition(tuple(len(r) for r in rows))
+        object.__setattr__(self, "shape", shape)  # the partition of the row lengths
         entries = sorted(e for row in rows for e in row)
-        if entries != list(range(1, n + 1)):
-            raise ValueError(f"entries must be exactly 1..{n}: {rows!r}")
+        if entries != list(range(1, shape.size + 1)):
+            raise ValueError(f"entries must be exactly 1..{shape.size}: {rows!r}")
         for row in rows:
             if any(a >= b for a, b in zip(row, row[1:])):
                 raise ValueError(f"row not strictly increasing: {row!r}")
         for upper, lower in zip(rows, rows[1:]):
             if any(upper[j] >= lower[j] for j in range(len(lower))):
                 raise ValueError(f"columns not strictly increasing: {rows!r}")
-
-    @cached_property
-    def shape(self) -> Partition:
-        return Partition(tuple(len(r) for r in self.rows))
 
     @property
     def size(self) -> int:

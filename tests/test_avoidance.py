@@ -162,11 +162,14 @@ class TestCountAvoiders:
         assert count_avoiders(ell, k, "formula") == syt_sum_squares(ell, k)
 
     def test_long_patterns_avoid_nothing(self):
-        # [TRIVIAL] every word of length ell avoids a pattern longer than ell
+        # [TRIVIAL] every word of length ell avoids a pattern longer than ell;
+        # both walks count it through their r! shortcut at the first letter
         import math
 
-        for ell in range(2, 7):
-            assert count_avoiders(ell, ell, "brute") == math.factorial(ell)
+        for ell in range(1, 9):
+            for k in range(max(ell, 2), ell + 4):
+                for method in ("brute", "rsk"):
+                    assert count_avoiders(ell, k, method) == math.factorial(ell), (ell, k, method)
 
     def test_brute_oracle_inline(self):
         # filter all words of length 5 by the DP oracle

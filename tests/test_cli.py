@@ -120,25 +120,11 @@ GOLDEN = [
         id="self-conjugate-json",
     ),
     pytest.param(
+        # the per-shape table is count paths --per-shape's alone
         "count self-conjugate --ell 3 --k 3 --per-shape",
-        None, EXIT_OK,
-        (
-            b'lambda\tf\tf_squared\tbrute_admissible\tbrute_self_conjugate\n[3]\t1\t1\t1\t1\n'
-            b'[2,1]\t2\t4\t4\t2\n[1,1,1]\t1\t1\t1\t1\n'
-        ),
-        id="self-conjugate-per-shape-tsv",
-    ),
-    pytest.param(
-        "count self-conjugate --ell 3 --k 3 --per-shape --format json",
-        None, EXIT_OK,
-        (
-            b'{"ell": 3, "k": 3, "per_shape": [{"partition": [3], "f": "1", "f_squared": "1", '
-            b'"brute_admissible": "1", "brute_self_conjugate": "1"}, {"partition": [2, 1], '
-            b'"f": "2", "f_squared": "4", "brute_admissible": "4", '
-            b'"brute_self_conjugate": "2"}, {"partition": [1, 1, 1], "f": "1", '
-            b'"f_squared": "1", "brute_admissible": "1", "brute_self_conjugate": "1"}]}\n'
-        ),
-        id="self-conjugate-per-shape-json",
+        None, EXIT_USAGE,
+        b'',
+        id="self-conjugate-per-shape-refused",
     ),
     pytest.param(
         "count avoiders --ell 7 --k 2 --method rsk",
@@ -293,8 +279,8 @@ def test_golden_stdout(capsysbinary, monkeypatch, argv, stdin, code, out):
     assert capsysbinary.readouterr().out == out
 
 
-# Exact --help of the verbs whose epilog lists the per-shape columns, at a
-# fixed 80-column width.
+# Exact --help of the two path-count verbs, at a fixed 80-column width; only
+# count paths takes --per-shape and lists its columns in the epilog.
 HELP_GOLDEN = {
     "paths": (
         b'usage: latmult count paths [-h] --ell ELL --k K [--method {brute,formula}]\n'
@@ -314,7 +300,7 @@ HELP_GOLDEN = {
     ),
     "self-conjugate": (
         b'usage: latmult count self-conjugate [-h] --ell ELL --k K\n'
-        b'                                    [--method {brute,formula}] [--per-shape]\n'
+        b'                                    [--method {brute,formula}]\n'
         b'                                    [--format {json,tsv}] [--allow-large]\n'
         b'\n'
         b'options:\n'
@@ -322,12 +308,8 @@ HELP_GOLDEN = {
         b'  --ell ELL             square size\n'
         b'  --k K                 one more than the path count\n'
         b'  --method {brute,formula}\n'
-        b'  --per-shape           per-type table with formula and enumeration columns\n'
         b'  --format {json,tsv}   output format (default depends on the command)\n'
         b'  --allow-large         override resource guards\n'
-        b'\n'
-        b'TSV columns with --per-shape: lambda, f, f_squared, brute_admissible,\n'
-        b'brute_self_conjugate.\n'
     ),
 }
 
@@ -408,7 +390,7 @@ class TestCountPaths:
             assert row["brute_admissible"] == row["f_squared"]
             assert row["brute_self_conjugate"] == row["f"]
 
-    @pytest.mark.parametrize("verb", ["paths", "self-conjugate"])
+    @pytest.mark.parametrize("verb", ["paths"])
     @pytest.mark.parametrize("ell", ["3", "9"])
     def test_per_shape_refuses_formula(self, capsys, verb, ell):
         # the table comes from the search alone, so an explicit --method
@@ -683,7 +665,7 @@ class TestStdoutContract:
 VERB_OPTIONS = {
     "count tableaux": ["--ell", "--max-height", "--per-shape"],
     "count paths": ["--ell", "--k", "--method", "--per-shape"],
-    "count self-conjugate": ["--ell", "--k", "--method", "--per-shape"],
+    "count self-conjugate": ["--ell", "--k", "--method"],
     "count avoiders": ["--ell", "--k", "--method"],
     "mult": ["--n", "--k", "--ell"],
     "map tau": ["--k"],

@@ -1,7 +1,10 @@
 """The package surface: every exported name resolves, README's Library
-example runs as written, the two version strings agree, and a guard is
-lifted only by the call's own allow_large, never by the environment."""
+example runs as written, the two version strings agree, a guard is lifted
+only by the call's own allow_large, never by the environment, and the value
+types refuse bad input with fixed messages and keep what they derive out of
+their fields."""
 
+import dataclasses
 import io
 import re
 import sys
@@ -11,8 +14,10 @@ import pytest
 
 import latmult
 from latmult import (
+    LatticePath,
     Partition,
     ResourceLimitError,
+    StandardTableau,
     cli,
     count_avoiders,
     count_by_type,
@@ -79,3 +84,39 @@ def test_environment_lifts_no_cli_guard(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("resource guard: ")
+
+
+# Each bad input with the one message its constructor gives, checks in order:
+# an odd length is refused before a stray letter, a stray letter before an
+# R/U imbalance, and a tableau's shape before its entries.
+@pytest.mark.parametrize("cls, value, message", [
+    (LatticePath, "", "move string must have positive even length: ''"),
+    (LatticePath, "RRU", "move string must have positive even length: 'RRU'"),
+    (LatticePath, "RX", "moves must be 'R' and 'U' only: 'RX'"),
+    (LatticePath, "RXRX", "moves must be 'R' and 'U' only: 'RXRX'"),
+    (LatticePath, "RRRU", "need equally many R and U moves: 'RRRU'"),
+    (StandardTableau, ((2, 1),), "row not strictly increasing: (2, 1)"),
+    (StandardTableau, ((1, 2), (3, 2)), "entries must be exactly 1..4: ((1, 2), (3, 2))"),
+    (StandardTableau, ((1, 3),), "entries must be exactly 1..2: ((1, 3),)"),
+    (StandardTableau, ((1,), (2, 3)), "parts must be weakly decreasing: (1, 2)"),
+])
+def test_constructor_messages(cls, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(value)
+
+
+@pytest.mark.parametrize("value, field, derived, text", [
+    (LatticePath("RURU"), "moves", "up_prefix", "LatticePath(moves='RURU')"),
+    (StandardTableau(((1, 2), (3,))), "rows", "shape",
+     "StandardTableau(rows=((1, 2), (3,)))"),
+])
+def test_derived_value_outside_fields(value, field, derived, text):
+    assert [f.name for f in dataclasses.fields(value)] == [field]
+    twin = type(value)(getattr(value, field))
+    object.__setattr__(twin, derived, None)  # a derived value that differs
+    assert twin == value and hash(twin) == hash(value)
+    assert repr(twin) == repr(value) == text
+
+
+def test_up_prefix_built_by_the_constructor():
+    assert vars(LatticePath("RURU"))["up_prefix"] == (0, 0, 1, 1, 2)

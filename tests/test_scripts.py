@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,3 +35,15 @@ def test_bijection_demo_refuses_past_the_guard():
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("resource guard: enumeration at ell=7, k=3")
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--ell", "3", "--k", "1"], "error: k must be >= 2, got 1", id="k-1"),
+    pytest.param(["--ell", "0"], "error: ell must be >= 1, got 0", id="ell-0"),
+])
+def test_bijection_demo_refuses_bad_arguments(argv, message):
+    # as the CLI refuses input: one stderr line, empty stdout, exit 2
+    proc = run_demo(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [message]
