@@ -3,16 +3,22 @@
 Every clause of the definition is written once, in _fits, one path's step
 at one move. The search grows columns of moves with it (_successors), and
 is_admissible replays through it the paths' up_prefix tables (built when
-each path is validated), move by move, once per PathSequence object. The
-verdict (the type, read off the state after move ell, or None when
-inadmissible) is kept in the instance dict, which equality, hashing and
-repr never see.
+each path is validated), move by move. The verdict (the type, read off the
+state after move ell, or None when inadmissible) is a function of the
+sequence's value alone, so it lives in one weak table keyed by value: equal
+sequences share one verdict, and evaluation runs once per distinct value
+while any sequence of that value is alive. An entry leaves with the last
+object that keys it, so the table never outgrows the live sequences, and
+nothing is stored on the instance itself.
 """
+
+import weakref
 
 from latmult.partitions import Partition
 from latmult.paths import PathSequence
 
-_VERDICT = "_verdict"
+# z -> its type, or None when inadmissible; weak in z, keyed by z's value
+_VERDICTS: weakref.WeakKeyDictionary[PathSequence, Partition | None] = weakref.WeakKeyDictionary()
 
 
 def _fits(ell: int, m: int, s: tuple[int, ...], i: int, lower: int, prev: int, room: int,
@@ -92,18 +98,23 @@ def is_admissible(z: PathSequence) -> bool:
     anti-diagonal, and every band's color tallies respect the cap against
     the previous band, the remaining budget on that color, and weak
     monotonicity toward color zero. With k = 2 only the first condition
-    applies."""
-    if _VERDICT not in z.__dict__:
-        z.__dict__[_VERDICT] = _evaluate(z)
-    return z.__dict__[_VERDICT] is not None
+    applies. Evaluated once per distinct live value: an equal sequence
+    already checked supplies the verdict."""
+    try:
+        verdict = _VERDICTS[z]
+    except KeyError:
+        verdict = _VERDICTS[z] = _evaluate(z)
+    return verdict is not None
 
 
 def _type_of(z: PathSequence) -> Partition | None:
-    """The type of z, or None when z is inadmissible, from the verdict cached
-    on z; only a miss goes through is_admissible."""
-    if _VERDICT not in z.__dict__:
+    """The type of z, or None when z is inadmissible, from the verdict table;
+    only a value missing from it goes through is_admissible."""
+    try:
+        return _VERDICTS[z]
+    except KeyError:
         is_admissible(z)
-    return z.__dict__[_VERDICT]
+        return _VERDICTS[z]
 
 
 def _require_type(z: PathSequence) -> Partition:

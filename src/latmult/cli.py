@@ -13,7 +13,8 @@ comes from the path search alone. Since 0.5.0 only count paths takes
 --per-shape; count self-conjugate --per-shape exits 2.
 Exit 3 for count avoiders: --method rsk past ell 9, --method brute past
 ell 10; map tau past (k-1)*ell = 100 000 (TAU_GUARD_CELLS), ell the
-tableau's size.
+tableau's size; map and lds on more than 1 MiB (2**20 characters) of stdin
+(STDIN_LIMIT_CHARS).
 """
 
 import argparse
@@ -40,6 +41,11 @@ EXIT_BROKEN_PIPE = 141
 # map tau builds k-1 paths of 2*ell moves, in time and memory linear in
 # (k-1)*ell; past this bound that takes seconds and grows without limit
 TAU_GUARD_CELLS = 100_000
+
+# map and lds read at most this many characters of stdin; the largest
+# tableau the tau guard allows (one row of 100 000 cells) is 688 897
+# characters of JSON, and its map tau output 200 039
+STDIN_LIMIT_CHARS = 1 << 20
 
 # What a verb hands back to main: (exit code, JSON document, TSV lines).
 Output = tuple[int, object, list]
@@ -208,8 +214,18 @@ def cmd_mult(args) -> Output:
     return EXIT_OK, doc, lines
 
 
+def _read_stdin(args) -> str:
+    """All of stdin, refused past STDIN_LIMIT_CHARS unless --allow-large."""
+    text = sys.stdin.read(STDIN_LIMIT_CHARS + 1)
+    if len(text) <= STDIN_LIMIT_CHARS:
+        return text
+    check_guard(False, args.allow_large, f"{args.command} stdin exceeds the default guard "
+                f"(at most {STDIN_LIMIT_CHARS} characters)")
+    return text + sys.stdin.read()
+
+
 def cmd_map(args) -> Output:
-    payload = json.loads(sys.stdin.read())
+    payload = json.loads(_read_stdin(args))
     if args.direction == "tau":
         x = serialize.tableau_from_json(payload)
         k = args.k if args.k is not None else max(2, x.shape.height)
@@ -228,7 +244,7 @@ def cmd_map(args) -> Output:
 
 
 def cmd_lds(args) -> Output:
-    text = args.word if args.word is not None else sys.stdin.read()
+    text = args.word if args.word is not None else _read_stdin(args)
     w = serialize.permutation_from_word(text)
     value = lds_length(w)
     return EXIT_OK, {"word": list(w.word), "lds": value}, [value]

@@ -6,7 +6,11 @@ under test: it lists the boxes and their colors itself, and finds the boxes
 below a path from the path's vertices (test_paths.boxes_weakly_below).
 """
 
+import copy
+import gc
 import itertools
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given
@@ -184,8 +188,8 @@ class TestSequenceType:
 
 
 class TestVerdictCache:
-    """Each sequence object computes its verdict once; the cache lives
-    outside the dataclass fields."""
+    """Equal sequences share one verdict while any of them is alive; the
+    table holds them weakly and nothing is stored on the instance."""
 
     @given(nested_sequences_st())
     def test_cache_leaves_eq_hash_repr_alone(self, z):
@@ -211,17 +215,50 @@ class TestVerdictCache:
             with pytest.raises(ValueError):
                 sequence_type(z)
         assert not is_admissible(z)
+        with pytest.raises(ValueError):
+            sequence_type(PathSequence(z.paths))  # an equal fresh copy shares the verdict
 
-    def test_tallies_built_once_per_object(self, monkeypatch):
+    def test_tallies_built_once_per_live_value(self, monkeypatch):
         import latmult.admissibility as admissibility
 
-        built = []
+        built = []  # holds no sequence, so it keeps no entry alive
         real = admissibility._evaluate
-        monkeypatch.setattr(admissibility, "_evaluate", lambda z: built.append(z) or real(z))
-        z = PathSequence((LatticePath("RURU"), LatticePath("RURU")))
+        monkeypatch.setattr(admissibility, "_evaluate", lambda z: built.append(z.k) or real(z))
+        # ell 5: conftest keeps every admissible sequence up to ell 4 alive
+        z = PathSequence((LatticePath("RURRRUUURU"), LatticePath("RURRUUURRU"),
+                          LatticePath("RURRUUURRU")))
         assert is_admissible(z)
-        assert sequence_type(z) == Partition((1, 1))
+        assert sequence_type(z) == Partition((3, 1, 1))
         assert is_admissible(z)
         assert len(built) == 1
-        sequence_type(PathSequence(z.paths))
-        assert len(built) == 2
+        fresh = PathSequence(z.paths)
+        assert sequence_type(fresh) == Partition((3, 1, 1))
+        assert len(built) == 1  # an equal fresh object reads the live entry
+        paths = z.paths
+        del z, fresh
+        gc.collect()
+        assert sequence_type(PathSequence(paths)) == Partition((3, 1, 1))
+        assert len(built) == 2  # the entry left with the last object that keyed it
+
+    def test_table_keeps_nothing_alive(self):
+        import latmult.admissibility as admissibility
+
+        gc.collect()
+        before = len(admissibility._VERDICTS)
+        z = PathSequence((LatticePath("RURRUURURU"), LatticePath("RURUURRURU")))
+        assert sequence_type(z) == Partition((2, 2, 1))
+        assert len(admissibility._VERDICTS) == before + 1
+        alive = weakref.ref(z)
+        del z
+        gc.collect()
+        assert alive() is None
+        assert len(admissibility._VERDICTS) == before
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, lambda z: pickle.loads(pickle.dumps(z))],
+                             ids=["copy", "pickle"])
+    def test_copies_carry_no_verdict(self, duplicate):
+        z = PathSequence((LatticePath("RURRUU"), LatticePath("RURRUU")))
+        lam = sequence_type(z)
+        twin = duplicate(z)
+        assert "_verdict" not in vars(twin)
+        assert sequence_type(twin) == lam

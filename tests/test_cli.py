@@ -577,6 +577,37 @@ class TestLds:
         assert "error:" in err
 
 
+class TestStdinBound:
+    """map and lds read at most cli.STDIN_LIMIT_CHARS characters of stdin."""
+
+    def test_largest_tau_input_round_trips(self, capsys, monkeypatch):
+        # one row of TAU_GUARD_CELLS cells: the most map tau --k 2 allows
+        tableau = [list(range(1, cli.TAU_GUARD_CELLS + 1))]
+        text = json.dumps(tableau)
+        assert len(text) <= cli.STDIN_LIMIT_CHARS
+        code, out, _ = run_main_stdin(capsys, monkeypatch, text, "map", "tau", "--k", "2")
+        assert code == EXIT_OK
+        assert len(out) <= cli.STDIN_LIMIT_CHARS
+        code, out, _ = run_main_stdin(capsys, monkeypatch, out, "map", "sigma")
+        assert code == EXIT_OK
+        assert json.loads(out) == tableau
+
+    @pytest.mark.parametrize("argv", [("map", "tau"), ("map", "sigma"), ("lds",)])
+    def test_past_the_bound_is_refused(self, capsys, monkeypatch, argv):
+        text = " " * (cli.STDIN_LIMIT_CHARS + 1)
+        code, out, err = run_main_stdin(capsys, monkeypatch, text, *argv)
+        assert (code, out) == (EXIT_GUARD, "")
+        assert err.startswith("resource guard: ")
+        assert err.count("\n") == 1
+
+    def test_allow_large_reads_the_rest(self, capsys, monkeypatch):
+        text = "26873415".ljust(cli.STDIN_LIMIT_CHARS + 1) + "\n"
+        code, _, _ = run_main_stdin(capsys, monkeypatch, text, "lds")
+        assert code == EXIT_GUARD
+        code, out, _ = run_main_stdin(capsys, monkeypatch, text, "lds", "--allow-large")
+        assert (code, out) == (EXIT_OK, "4\n")
+
+
 class TestVerify:
     def test_small_grid_passes(self, capsys):
         code, out, _ = run_main(capsys, "verify", "--ell-max", "3", "--k-max", "3")
