@@ -112,11 +112,7 @@ def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
             q_rows.append([step])
         else:
             q_rows[grown].append(step)
-
-    def as_tableau(rows: list[list[int]]) -> StandardTableau:
-        return StandardTableau(tuple(tuple(r) for r in rows))
-
-    return as_tableau(p_rows), as_tableau(q_rows)
+    return StandardTableau(p_rows), StandardTableau(q_rows)
 
 
 def _count_piles(ell: int, k: int, factorial: list[int]) -> int:

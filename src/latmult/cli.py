@@ -54,8 +54,8 @@ Output = tuple[int, object, list]
 PER_SHAPE_COLUMNS = ("f", "f_squared", "brute_admissible", "brute_self_conjugate")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["json", "tsv"], default=None,
+def _add_common(p: argparse.ArgumentParser, default_format: str) -> None:
+    p.add_argument("--format", choices=["json", "tsv"], default=default_format,
                    help="output format (default depends on the command)")
     p.add_argument("--allow-large", action="store_true",
                    help="override resource guards")
@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--ell", type=int, required=True, help="number of cells")
     tab.add_argument("--max-height", type=int, required=True, help="height bound (>= 2)")
     tab.add_argument("--per-shape", action="store_true", help="one output row per partition")
-    _add_common(tab)
-    tab.set_defaults(handler=cmd_count_tableaux, default_format="tsv")
+    _add_common(tab, "tsv")
+    tab.set_defaults(handler=cmd_count_tableaux)
 
     per_shape_columns = ("TSV columns with --per-shape: "
                          f"{', '.join(('lambda',) + PER_SHAPE_COLUMNS)}.")
@@ -96,43 +96,42 @@ def build_parser() -> argparse.ArgumentParser:
         if not self_conjugate:
             verb.add_argument("--per-shape", action="store_true",
                               help="per-type table with formula and enumeration columns")
-        _add_common(verb)
-        verb.set_defaults(handler=cmd_count_paths, self_conjugate=self_conjugate,
-                          per_shape=False, default_format="tsv")
+        _add_common(verb, "tsv")
+        verb.set_defaults(handler=cmd_count_paths, self_conjugate=self_conjugate, per_shape=False)
 
     avoid = what.add_parser("avoiders", help="permutations with bounded decreasing runs")
     avoid.add_argument("--ell", type=int, required=True, help="word length")
     avoid.add_argument("--k", type=int, required=True, help="longest allowed decreasing run")
     avoid.add_argument("--method", choices=["brute", "rsk", "formula"], default="formula")
-    _add_common(avoid)
-    avoid.set_defaults(handler=cmd_count_avoiders, default_format="tsv")
+    _add_common(avoid, "tsv")
+    avoid.set_defaults(handler=cmd_count_avoiders)
 
     mult = sub.add_parser("mult", help="maximal dominant weight multiplicity")
     mult.add_argument("--n", type=int, required=True, help="rank parameter (>= 2)")
     mult.add_argument("--k", type=int, required=True, help="level (>= 2)")
     mult.add_argument("--ell", type=int, required=True, help="family index, 1..floor(n/2)")
-    _add_common(mult)
-    mult.set_defaults(handler=cmd_mult, default_format="json")
+    _add_common(mult, "json")
+    mult.set_defaults(handler=cmd_mult)
 
     mapping = sub.add_parser("map", help="apply a bijection to JSON read from stdin")
     mapping.add_argument("direction", choices=["tau", "sigma"],
                          help="tau: tableau to path sequence; sigma: the inverse")
     mapping.add_argument("--k", type=int, default=None,
                          help="path count parameter for tau (default: tableau height, min 2)")
-    _add_common(mapping)
-    mapping.set_defaults(handler=cmd_map, default_format="json")
+    _add_common(mapping, "json")
+    mapping.set_defaults(handler=cmd_map)
 
     lds = sub.add_parser("lds", help="longest decreasing subsequence of a one-line word")
     lds.add_argument("word", nargs="?", default=None,
                      help="digits, e.g. 26873415 (read from stdin when omitted)")
-    _add_common(lds)
-    lds.set_defaults(handler=cmd_lds, default_format="tsv")
+    _add_common(lds, "tsv")
+    lds.set_defaults(handler=cmd_lds)
 
     ver = sub.add_parser("verify", help="run the cross-check suite over an (ell, k) grid")
     ver.add_argument("--ell-max", type=int, required=True)
     ver.add_argument("--k-max", type=int, required=True)
-    _add_common(ver)
-    ver.set_defaults(handler=cmd_verify, default_format="tsv")
+    _add_common(ver, "tsv")
+    ver.set_defaults(handler=cmd_verify)
 
     return parser
 
@@ -276,7 +275,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         code, doc, lines = args.handler(args)
-        if (args.format or args.default_format) == "json":
+        if args.format == "json":
             text = json.dumps(doc) + "\n"
         else:
             text = "".join(f"{line}\n" for line in lines)

@@ -12,8 +12,8 @@ color j reads only those and the tallies on color j - 1, which the state
 after move m - 1 holds. So which columns of moves may follow, and which
 state each leads to, depends only on (m, s): admissibility._successors
 grows them with the clause step is_admissible replays. The search builds
-each (m, s)'s list once, in a memo local to the call, and walks the tree
-of columns depth first through it. Nothing is shared between calls.
+each (m, s)'s list once, in a memo local to the call, and _walk walks the
+tree of columns depth first through it. Nothing is shared between calls.
 
 The search hands raw move strings to its visitor. Counting needs nothing
 more; only the enumerate_* wrappers build PathSequence objects.
@@ -39,6 +39,18 @@ def _check_size(ell: int, k: int, allow_large: bool) -> None:
     )
 
 
+def _walk(ell: int, m: int, s: tuple[int, ...], memo: dict, columns: list, visit: Callable) -> None:
+    succ = memo.get((m, s))
+    if succ is None:
+        succ = memo[(m, s)] = _successors(ell, m, s)
+    for column, nxt in succ:
+        columns[m - 1] = column
+        if m == len(columns):
+            visit(tuple(map("".join, zip(*columns))))
+        else:
+            _walk(ell, m + 1, nxt, memo, columns, visit)
+
+
 def visit_admissible(ell: int, k: int, visit: Callable[[tuple[str, ...]], None]) -> None:
     """Stream each admissible sequence exactly once, order unspecified, to
     visit as its tuple of move strings, first path first.
@@ -46,27 +58,7 @@ def visit_admissible(ell: int, k: int, visit: Callable[[tuple[str, ...]], None])
     No size guard is applied here; the list building wrappers own that.
     """
     _check_ell_k(ell, k)
-    total = 2 * ell
-    memo: dict[tuple[int, tuple[int, ...]], list] = {}
-    columns: list[tuple[str, ...]] = [()] * total
-
-    def walk(m: int, s: tuple[int, ...]) -> None:
-        succ = memo.get((m, s))
-        if succ is None:
-            succ = memo[(m, s)] = _successors(ell, m, s)
-        for column, nxt in succ:
-            columns[m - 1] = column
-            if m == total:
-                visit(tuple(map("".join, zip(*columns))))
-            else:
-                walk(m + 1, nxt)
-
-    try:
-        walk(1, (0,) * (k - 1))
-    finally:
-        # walk refers to itself through its closure, a cycle only the cycle
-        # collector frees; it must not keep the caller's results alive
-        walk = None
+    _walk(ell, 1, (0,) * (k - 1), {}, [()] * (2 * ell), visit)
 
 
 def _sorted_sequences(found: list[tuple[str, ...]]) -> list[PathSequence]:

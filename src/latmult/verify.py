@@ -56,14 +56,10 @@ def _check_cell(ell: int, k: int, allow_large: bool) -> list[CheckResult]:
     # the cell is searched once: per-type tallies come from the same list
     by_type = Counter(_type_of(z) for z in seqs)
     fixed_by_type = Counter(_type_of(z) for z in fixed)
-    detail = ""
-    for lam in partitions_of(ell, k):
-        f = count_syt(lam)
-        got = (by_type[lam], fixed_by_type[lam])
-        if got != (f * f, f):
-            detail = f"type {list(lam.parts)}: got {got}, expected {(f * f, f)}"
-            break
-    check("per-type-counts", not detail, detail)
+    want = {lam: (f * f, f) for lam in partitions_of(ell, k) for f in (count_syt(lam),)}
+    got = {lam: (by_type[lam], fixed_by_type[lam]) for lam in want}
+    witness("per-type-counts", want, lambda lam: got[lam] != want[lam],
+            lambda lam: f"type {list(lam.parts)}: got {got[lam]}, expected {want[lam]}")
 
     syt = (x for lam in partitions_of(ell, k) for x in enumerate_syt(lam, allow_large=allow_large))
     witness("tableau-roundtrip", syt,

@@ -40,7 +40,9 @@ def all_tableaux(ell: int, max_height: int):
 
 @lru_cache(maxsize=None)
 def all_admissible(ell: int, k: int):
-    return tuple(enumerate_admissible(ell, k))
+    # move strings, not PathSequence objects: a cached sequence would stay
+    # alive all session and keep its entry in the process-wide verdict table
+    return tuple(tuple(p.moves for p in z.paths) for z in enumerate_admissible(ell, k))
 
 
 @st.composite
@@ -61,7 +63,8 @@ def tableaux_st(draw, max_size=6):
 def admissible_st(draw, max_ell=4, max_k=5):
     ell = draw(st.integers(1, max_ell))
     k = draw(st.integers(2, max_k))
-    return draw(st.sampled_from(all_admissible(ell, k)))
+    moves = draw(st.sampled_from(all_admissible(ell, k)))
+    return PathSequence(tuple(LatticePath(m) for m in moves))
 
 
 def path_from_heights(heights) -> LatticePath:

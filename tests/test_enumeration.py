@@ -198,13 +198,28 @@ class TestGuards:
 
 class TestNoRetention:
     def test_results_freed_without_cycle_collector(self):
-        # the search's recursive closures are reference cycles; they must
-        # not keep a dropped result list alive until the collector runs
+        # the search must not keep a dropped result list alive until the
+        # cycle collector runs
         gc.disable()
         try:
             seqs = enumerate_admissible(3, 3)
             first = weakref.ref(seqs[0])
             del seqs
             assert first() is None
+        finally:
+            gc.enable()
+
+    def test_search_lets_go_of_its_visitor(self):
+        class Sink(list):  # a plain list cannot be weakly referenced
+            pass
+
+        gc.disable()
+        try:
+            sink = Sink()
+            held = weakref.ref(sink)
+            visit_admissible(5, 3, sink.append)
+            assert len(sink) == syt_sum_squares(5, 3)
+            del sink
+            assert held() is None
         finally:
             gc.enable()
