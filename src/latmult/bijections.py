@@ -3,7 +3,7 @@ plus the half-swap pairing that factors admissible sequences into ordered
 pairs of self-conjugate ones of the same type."""
 
 from latmult.admissibility import _require_type, _type_of
-from latmult.paths import LatticePath, PathSequence, is_self_conjugate, reflected_moves
+from latmult.paths import LatticePath, PathSequence, _mirrored, is_self_conjugate, reflected_moves
 from latmult.tableaux import StandardTableau
 
 
@@ -21,11 +21,10 @@ def tau(x: StandardTableau, k: int) -> PathSequence:
         raise ValueError(f"tableau height {x.shape.height} exceeds k={k}")
     ell = x.size
     row_index = {e: i for i, row in enumerate(x.rows, start=1) for e in row}
-    paths = []
-    for i in range(1, k):
-        half = "".join("U" if 2 <= row_index[v] <= i + 1 else "R" for v in range(1, ell + 1))
-        paths.append(LatticePath(half + reflected_moves(half)))
-    z = PathSequence(tuple(paths))
+    z = _mirrored(
+        "".join("U" if 2 <= row_index[v] <= i + 1 else "R" for v in range(1, ell + 1))
+        for i in range(1, k)
+    )
     if _type_of(z) is None:
         raise RuntimeError(f"internal error: inadmissible image for tableau {x.rows!r}")
     return z
@@ -62,9 +61,8 @@ def split(z: PathSequence) -> tuple[PathSequence, PathSequence]:
     """
     lam = _require_type(z)
     ell = z.ell
-    halves = [(p.moves[:ell], p.moves[ell:]) for p in z.paths]
-    first = PathSequence(tuple(LatticePath(lo + reflected_moves(lo)) for lo, _ in halves))
-    second = PathSequence(tuple(LatticePath(reflected_moves(hi) + hi) for _, hi in halves))
+    first = _mirrored(p.moves[:ell] for p in z.paths)
+    second = _mirrored(reflected_moves(p.moves[ell:]) for p in z.paths)
     if _type_of(first) != lam or _type_of(second) != lam:  # both self-conjugate by construction
         raise RuntimeError("internal error: split output failed validation")
     return first, second

@@ -9,8 +9,8 @@ Exit codes: 0 success (verify: all checks passed), 1 verification failure,
 2 usage or input error, 3 resource guard rejection, 4 internal error (one
 stderr line), 141 quietly when the reader closes stdout early (as SIGPIPE).
 Exit 2 for count paths --per-shape --method formula: the per-shape table
-comes from the path search alone. Since 0.5.0 only count paths takes
---per-shape; count self-conjugate --per-shape exits 2.
+comes from the path search alone. Only count paths takes --per-shape;
+count self-conjugate --per-shape exits 2.
 Exit 3 for count avoiders: --method rsk past ell 9, --method brute past
 ell 10; map tau past (k-1)*ell = 100 000 (TAU_GUARD_CELLS), ell the
 tableau's size; map and lds on more than 1 MiB (2**20 characters) of stdin
@@ -268,11 +268,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return code if isinstance(code, int) else EXIT_USAGE
+    except SystemExit as exc:  # argparse exits 0 for --help, 2 for a usage error
+        return exc.code
     try:
         code, doc, lines = args.handler(args)
         if args.format == "json":

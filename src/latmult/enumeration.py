@@ -15,16 +15,24 @@ grows them with the clause step is_admissible replays. The search builds
 each (m, s)'s list once, in a memo local to the call, and _walk walks the
 tree of columns depth first through it. Nothing is shared between calls.
 
+Self-conjugate sequences need only moves 1..ell. Reflecting every path
+swaps colors j and -j and keeps each band and the up-counts after move ell,
+so on a sequence equal to its mirror each clause at color j > 0 is the one
+at -j, and the diagonal after move m > ell is the one after 2 * ell - m.
+Each admissible half (_halves) thus completes to exactly one self-conjugate
+admissible sequence, paths._mirrored's, and has its type.
+
 The search hands raw move strings to its visitor. Counting needs nothing
 more; only the enumerate_* wrappers build PathSequence objects.
 """
 
+from functools import partial
 from typing import Callable
 
 from latmult.admissibility import _successors, _type_parts
 from latmult.guards import check_guard
 from latmult.partitions import Partition, _check_ell_k, partitions_of
-from latmult.paths import LatticePath, PathSequence, _self_conjugate
+from latmult.paths import LatticePath, PathSequence, _mirrored
 
 GUARD_ELL = 6
 GUARD_K = 5
@@ -61,46 +69,41 @@ def visit_admissible(ell: int, k: int, visit: Callable[[tuple[str, ...]], None])
     _walk(ell, 1, (0,) * (k - 1), {}, [()] * (2 * ell), visit)
 
 
-def _sorted_sequences(found: list[tuple[str, ...]]) -> list[PathSequence]:
-    """PathSequence objects in canonical order: lexicographic on the
-    concatenated move strings, which is tuple order, as every string has
-    length 2 * ell."""
-    return [PathSequence(tuple(LatticePath(s) for s in moves)) for moves in sorted(found)]
+def _halves(ell: int, k: int) -> list[tuple[str, ...]]:
+    """The first ell moves of every self-conjugate admissible sequence."""
+    found: list[tuple[str, ...]] = []
+    _walk(ell, 1, (0,) * (k - 1), {}, [()] * ell, found.append)
+    return found
 
 
 def enumerate_admissible(ell: int, k: int, *, allow_large: bool = False) -> list[PathSequence]:
-    """Every admissible sequence of k-1 nested paths, canonically ordered."""
+    """Every admissible sequence of k-1 nested paths, in lexicographic order
+    of the concatenated move strings: tuple order, as all have length 2 * ell."""
     _check_size(ell, k, allow_large)
     found: list[tuple[str, ...]] = []
     visit_admissible(ell, k, found.append)
-    return _sorted_sequences(found)
+    return [PathSequence(tuple(LatticePath(s) for s in moves)) for moves in sorted(found)]
 
 
 def enumerate_self_conjugate(ell: int, k: int, *, allow_large: bool = False) -> list[PathSequence]:
-    """The reflection-fixed subset of enumerate_admissible, same order."""
+    """The reflection-fixed subset of enumerate_admissible, same order: a
+    mirrored half orders as the half does, so the halves are sorted."""
     _check_size(ell, k, allow_large)
-    found: list[tuple[str, ...]] = []
-
-    def keep(moves: tuple[str, ...]) -> None:
-        if _self_conjugate(moves):
-            found.append(moves)
-
-    visit_admissible(ell, k, keep)
-    return _sorted_sequences(found)
+    return [_mirrored(half) for half in sorted(_halves(ell, k))]
 
 
 def count_sequences(ell: int, k: int, *, allow_large: bool = False) -> tuple[int, int]:
-    """(admissible, self-conjugate) totals without materializing the lists."""
+    """(admissible, self-conjugate) totals: the search's visits, not listed,
+    and the length of the list of halves."""
     _check_size(ell, k, allow_large)
-    admissible = conjugate_fixed = 0
+    admissible = 0
 
     def tally(moves: tuple[str, ...]) -> None:
-        nonlocal admissible, conjugate_fixed
+        nonlocal admissible
         admissible += 1
-        conjugate_fixed += _self_conjugate(moves)
 
     visit_admissible(ell, k, tally)
-    return admissible, conjugate_fixed
+    return admissible, len(_halves(ell, k))
 
 
 def count_by_type(ell: int, k: int, *, allow_large: bool = False) -> dict[Partition, tuple[int, int]]:
@@ -112,10 +115,10 @@ def count_by_type(ell: int, k: int, *, allow_large: bool = False) -> dict[Partit
     shapes = partitions_of(ell, k)
     tallies = {lam.parts: [0, 0] for lam in shapes}
 
-    def tally(moves: tuple[str, ...]) -> None:
-        entry = tallies[_type_parts([s.count("U", 0, ell) for s in moves], ell)]
-        entry[0] += 1
-        entry[1] += _self_conjugate(moves)
+    def tally(column: int, moves: tuple[str, ...]) -> None:
+        tallies[_type_parts([s.count("U", 0, ell) for s in moves], ell)][column] += 1
 
-    visit_admissible(ell, k, tally)
+    visit_admissible(ell, k, partial(tally, 0))
+    for half in _halves(ell, k):
+        tally(1, half)
     return {lam: tuple(tallies[lam.parts]) for lam in shapes}

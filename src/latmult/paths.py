@@ -28,11 +28,6 @@ def reflected_moves(moves: str) -> str:
     return moves[::-1].translate(_SWAP)
 
 
-def _self_conjugate(moves: Iterable[str]) -> bool:
-    """True when every move string equals its own reflection."""
-    return all(s == reflected_moves(s) for s in moves)
-
-
 @dataclass(frozen=True)
 class LatticePath:
     """A monotone path recorded as a string of 'R' and 'U' moves."""
@@ -94,7 +89,13 @@ class PathSequence:
 
 def is_self_conjugate(z: PathSequence) -> bool:
     """True when every path equals its own reflection."""
-    return _self_conjugate(p.moves for p in z.paths)
+    return all(p.moves == reflected_moves(p.moves) for p in z.paths)
+
+
+def _mirrored(halves: Iterable[str]) -> PathSequence:
+    """The self-conjugate sequence whose paths take the given first ell
+    moves and then mirror them across the anti-diagonal."""
+    return PathSequence(tuple(LatticePath(h + reflected_moves(h)) for h in halves))
 
 
 @dataclass(frozen=True)

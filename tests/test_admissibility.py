@@ -22,6 +22,7 @@ from latmult import (
     enumerate_admissible,
     is_admissible,
     path_leq,
+    reflect,
     sequence_type,
 )
 
@@ -151,9 +152,12 @@ class TestEveryNestedSequence:
         admissible = set()
         for z in nested_sequences(ell, k):
             verdict = oracle_admissible(z)
-            assert is_admissible(z) == verdict
+            # reflection swaps colors j and -j and keeps every band: the half
+            # walk of the self-conjugate search rests on this symmetry
+            mirror = PathSequence(tuple(map(reflect, z.paths)))
+            assert is_admissible(z) == is_admissible(mirror) == verdict
             if verdict:
-                assert sequence_type(z) == oracle_type(z)
+                assert sequence_type(z) == sequence_type(mirror) == oracle_type(z)
                 admissible.add(z)
         assert admissible == set(enumerate_admissible(ell, k))
 

@@ -129,9 +129,12 @@ class TestVisitOrderFree:
         listed = enumerate_admissible(ell, k, allow_large=True)
         assert set(seen) == {tuple(p.moves for p in z.paths) for z in listed}
 
-    @pytest.mark.parametrize("ell,k", [(5, 4), (6, 3)])
+    @pytest.mark.parametrize("ell,k", [(ell, k) for ell in range(1, 7) for k in range(2, 6)])
     def test_self_conjugate_lexicographic(self, ell, k):
+        # the list comes from sorted halves; the filter of the sorted whole
+        # list is the oracle for both membership and order
         got = enumerate_self_conjugate(ell, k)
+        assert got == [z for z in enumerate_admissible(ell, k) if is_self_conjugate(z)]
         keys = [tuple(p.moves for p in z.paths) for z in got]
         assert keys == sorted(keys)
 
@@ -154,10 +157,10 @@ class TestCountByType:
             Partition((1, 1)): (1, 1),
         }
 
-    @pytest.mark.parametrize("ell,k", [(3, 3), (4, 3), (4, 5), (5, 4)])
+    @pytest.mark.parametrize("ell,k", [(3, 3), (4, 3), (4, 5), (5, 4), (7, 3)])
     def test_matches_per_type_filter(self, ell, k):
-        per = count_by_type(ell, k)
-        seqs = enumerate_admissible(ell, k)
+        per = count_by_type(ell, k, allow_large=True)
+        seqs = enumerate_admissible(ell, k, allow_large=True)
         for lam in partitions_of(ell, k):
             matching = [z for z in seqs if sequence_type(z) == lam]
             fixed = [z for z in matching if is_self_conjugate(z)]
