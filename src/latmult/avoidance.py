@@ -123,29 +123,27 @@ def _count_piles(ell: int, k: int, factorial: list[int]) -> int:
     keeps them. Placing the unused letter of rank i piles the label i (a
     top labelled i lies below that letter, as bisect_left on the negated
     keys has it), then every label above i drops by 1, as the letter is
-    no longer unused.
+    no longer unused. The states are summed forward, one layer per letter
+    placed, each carrying the number of prefixes that reach it.
     """
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def walk(left: int, tops: tuple[int, ...]) -> int:
-        key = (left, tops)
-        if key in memo:
-            return memo[key]
-        total = 0
+    total = 0
+    layer: dict[tuple[int, ...], int] = {(): 1}  # tops -> prefixes reaching them
+    for left in range(ell, 0, -1):
         last = left - 1
-        for i in range(left):
-            tails = list(tops)
-            _pile(tails, i)
-            height = len(tails)
-            if height + last <= k:
-                total += factorial[last]
-            elif height <= k:
-                cut = -i
-                total += walk(last, tuple(t + 1 if t < cut else t for t in tails))
-        memo[key] = total
-        return total
-
-    return walk(ell, ())
+        below: dict[tuple[int, ...], int] = {}
+        for tops, ways in layer.items():
+            for i in range(left):
+                tails = list(tops)
+                _pile(tails, i)
+                height = len(tails)
+                if height + last <= k:
+                    total += ways * factorial[last]
+                elif height <= k:
+                    cut = -i
+                    key = tuple(t + 1 if t < cut else t for t in tails)
+                    below[key] = below.get(key, 0) + ways
+        layer = below
+    return total
 
 
 def _count_words(ell: int, k: int, factorial: list[int]) -> int:

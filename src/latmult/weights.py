@@ -5,7 +5,6 @@ everything stays in exact integers.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from latmult.partitions import syt_sum_squares
@@ -15,7 +14,8 @@ from latmult.partitions import syt_sum_squares
 class AffineCartan:
     """The n x n generalized Cartan matrix: 2 on the diagonal, -1 between
     cyclic neighbors. At n = 2 the two neighbor relations coincide and the
-    off-diagonal entries accumulate to -2."""
+    off-diagonal entries accumulate to -2. weight_pairings reads its rows
+    without building it."""
 
     n: int
 
@@ -23,23 +23,14 @@ class AffineCartan:
         if self.n < 2:
             raise ValueError(f"rank parameter n must be >= 2, got {self.n}")
 
-    @cached_property
+    @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if i == j:
-                    row.append(2)
-                else:
-                    adjacency = (abs(i - j) == 1) + ({i, j} == {0, n - 1})
-                    row.append(-adjacency)
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(tuple(self.a(i, j) for j in range(self.n)) for i in range(self.n))
 
     def a(self, i: int, j: int) -> int:
-        return self.entries[i][j]
+        if i == j:
+            return 2
+        return -((abs(i - j) == 1) + ({i, j} == {0, self.n - 1}))
 
 
 @dataclass(frozen=True)
@@ -97,15 +88,16 @@ def gamma(ell: int, n: int) -> RootVector:
 
 
 def weight_pairings(k: int, g: RootVector) -> WeightVector:
-    """Coroot pairings of the weight: k times the basic weight, minus g."""
+    """Coroot pairings of the weight: k times the basic weight, minus g.
+
+    Row i of the Cartan matrix is 2 at i and -1 at each cyclic neighbor (at
+    n = 2 both are the other node), so each pairing reads three coefficients.
+    """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    cartan = AffineCartan(g.n)
-    pairs = tuple(
-        (k if i == 0 else 0) - sum(cartan.a(i, j) * c for j, c in enumerate(g.coeffs))
-        for i in range(g.n)
-    )
-    return WeightVector(g.n, k, pairs)
+    c, n = g.coeffs, g.n
+    pairs = tuple((k if i == 0 else 0) - 2 * c[i] + c[i - 1] + c[(i + 1) % n] for i in range(n))
+    return WeightVector(n, k, pairs)
 
 
 def multiplicity(n: int, k: int, ell: int) -> int:
@@ -125,14 +117,12 @@ class FamilyEntry(NamedTuple):
 
 
 def maximal_dominant_family(n: int, k: int) -> list[FamilyEntry]:
-    """One entry per ell in 1..floor(n/2), each weight checked dominant."""
+    """One entry per ell in 1..floor(n/2). Every weight is dominant: its
+    pairings are k - 2 at node 0 plus 1 at node ell and 1 at node n - ell."""
     if n < 2:  # the loop below would be empty
         raise ValueError(f"n must be >= 2, got {n}")
     out = []
     for ell in range(1, n // 2 + 1):
         g = gamma(ell, n)
-        w = weight_pairings(k, g)
-        if not w.is_dominant:
-            raise RuntimeError(f"internal error: non-dominant pairings {w.pairings} at ell={ell}")
-        out.append(FamilyEntry(ell, g, w, multiplicity(n, k, ell)))
+        out.append(FamilyEntry(ell, g, weight_pairings(k, g), multiplicity(n, k, ell)))
     return out

@@ -6,6 +6,7 @@ direct standardness checks on insertion output.
 """
 
 import itertools
+import sys
 from functools import lru_cache
 
 import pytest
@@ -67,6 +68,17 @@ def catalan(n):
     if n == 0:
         return 1
     return sum(catalan(i) * catalan(n - 1 - i) for i in range(n))
+
+
+def frames_in_use():
+    """The stack depth the interpreter counts here, C calls included."""
+    def descend(depth):
+        try:
+            return descend(depth + 1)
+        except RecursionError:
+            return depth
+
+    return sys.getrecursionlimit() - descend(0)
 
 
 def perms_st(max_size=7):
@@ -199,6 +211,17 @@ class TestCountAvoiders:
     def test_pile_states_past_the_word_walks(self, ell, k):
         # only the walk over pile-top states reaches these sizes at once
         assert count_avoiders(ell, k, "brute", allow_large=True) == syt_sum_squares(ell, k)
+
+    def test_pile_walk_needs_no_stack(self):
+        # a walk that recursed once per letter placed would need about ell
+        # frames at k = ell - 1; the forward sum over layers needs a few
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames_in_use() + 8)
+        try:
+            count = count_avoiders(12, 11, "brute", allow_large=True)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert count == syt_sum_squares(12, 11) == 479001599
 
     def test_guard_on_brute_methods(self):
         with pytest.raises(ResourceLimitError):

@@ -5,6 +5,8 @@ adjacency definition, and every pairing is recomputed by direct
 substitution into k*delta(i,0) - sum_j a(i,j) * c_j.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -100,11 +102,26 @@ class TestWeightPairings:
                     cartan.a(i, j) * g.coeffs[j] for j in range(n)
                 )
                 assert w.pairings[i] == direct
+                # closed form: k - 2 at node 0, plus 1 at nodes ell and n - ell
+                assert w.pairings[i] == (k - 2) * (i == 0) + (i == ell) + (i == n - ell)
 
     @given(st.integers(2, 12), st.integers(2, 6))
     def test_always_dominant(self, n, k):
         for ell in range(1, n // 2 + 1):
             assert weight_pairings(k, gamma(ell, n)).is_dominant
+
+    def test_memory_linear_in_n(self):
+        # each pairing reads a node and its two cyclic neighbours; an n x n
+        # table of the Cartan matrix at n = 500 alone passes 2 MB
+        g = gamma(1, 500)
+        tracemalloc.start()
+        try:
+            w = weight_pairings(2, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.pairings[1] == w.pairings[499] == 1
+        assert peak < 0.5 * 2**20
 
     def test_dominance_flag(self):
         assert not WeightVector(3, 2, (1, -1, 2)).is_dominant
