@@ -10,14 +10,17 @@ when h + r <= k.
 depends only on how the pile tops sit among the unused letters. So it walks
 states (r, tops), where tops labels each pile with the number of unused
 letters below its top, and counts each state once: a polynomial walk for
-fixed k. 'rsk' walks the prefix tree of the ell! words depth first,
-placing each letter once in the insertion rows on the way down and taking
-it back on the way up, and reads the tableau height. Each route has its own
-guard: 'brute' at ell <= BRUTE_GUARD_ELL, 'rsk' at ell <= RSK_GUARD_ELL.
+fixed k. 'rsk' carries insertion rows instead, since what a prefix can
+still become depends only on its insertion tableau (the rows hold the used
+letters, and the next letter is row-inserted into them). So it sums
+tableaux forward, one layer per letter placed, and reads the tableau
+height. The two share no state. Each route has its own guard: 'brute' at
+ell <= BRUTE_GUARD_ELL, 'rsk' at ell <= RSK_GUARD_ELL.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import TypeVar
 
 from latmult.guards import check_guard
 from latmult.partitions import _check_ell_k, syt_sum_squares
@@ -25,6 +28,8 @@ from latmult.tableaux import StandardTableau
 
 BRUTE_GUARD_ELL = 10
 RSK_GUARD_ELL = 9
+
+_Letter = TypeVar("_Letter", int, str)
 
 
 @dataclass(frozen=True)
@@ -62,13 +67,14 @@ def lds_length(w: Permutation) -> int:
     return len(tails)
 
 
-def _row_insert(rows: list[list[int]], x: int) -> tuple[list[int], list[int]]:
+def _row_insert(rows: list[list[_Letter]], x: _Letter) -> tuple[list[_Letter], list[int]]:
     """Schensted row insertion of x into rows, in place.
 
     Each incomer bumps the smallest entry strictly greater than itself, and
     the bumped entry carries to the next row. Returns the row that grew
     (a new last row when x fell off the bottom) and the column of each
     bump, one per row passed, so the grown row's index is len(bumps).
+    Letters are ints, or the one-character strings _count_words holds.
     """
     bumps: list[int] = []
     for row in rows:
@@ -83,7 +89,7 @@ def _row_insert(rows: list[list[int]], x: int) -> tuple[list[int], list[int]]:
     return grown, bumps
 
 
-def _row_uninsert(rows: list[list[int]], inserted: tuple[list[int], list[int]]) -> None:
+def _row_uninsert(rows: list[list[_Letter]], inserted: tuple[list[_Letter], list[int]]) -> None:
     # undo _row_insert: take the new cell back and replay the bumps upward
     grown, bumps = inserted
     cur = grown.pop()
@@ -147,35 +153,38 @@ def _count_piles(ell: int, k: int, factorial: list[int]) -> int:
 
 
 def _count_words(ell: int, k: int, factorial: list[int]) -> int:
-    """Words of 1..ell whose insertion tableau has at most k rows.
+    """Words of 1..ell with at most k insertion rows, counted over tableaux.
 
-    Walks the prefix tree depth first, row-inserting each letter on the way
-    down and taking it back on the way up.
+    What a prefix can still become depends only on its insertion rows: the
+    rows hold exactly the used letters, and the next letter is row-inserted
+    into them. So the rows are summed forward, one layer per letter placed,
+    each carrying the number of prefixes that reach them. A state is keyed
+    by one string: each letter is chr(x) and each row is closed by chr(0).
+    The rows are held as those one-character strings too, which compare as
+    the letters do, so a child's key is a join; each letter is inserted in
+    place and taken back.
     """
-    rows: list[list[int]] = []
-    free = list(range(1, ell + 1))  # free[:left] are the unused letters
-
-    def walk(left: int) -> int:
-        # the prefix in rows has left letters to go and cannot be counted
-        # at once; each letter that keeps it at most k is tried in turn
-        total = 0
+    total = 0
+    letters = [chr(x) for x in range(1, ell + 1)]
+    layer = {"": 1}  # rows -> prefixes reaching them
+    for left in range(ell, 0, -1):
         last = left - 1
-        for i in range(left):
-            x = free[i]
-            free[i] = free[last]
-            free[last] = x
-            inserted = _row_insert(rows, x)
-            height = len(rows)
-            if height + last <= k:
-                total += factorial[last]
-            elif height <= k:
-                total += walk(last)
-            _row_uninsert(rows, inserted)
-            free[last] = free[i]
-            free[i] = x
-        return total
-
-    return walk(ell)
+        below: dict[str, int] = {}
+        for key, ways in layer.items():
+            rows = [list(row) for row in key.split("\0")[:-1]]
+            for x in letters:
+                if x in key:
+                    continue
+                inserted = _row_insert(rows, x)
+                height = len(rows)
+                if height + last <= k:
+                    total += ways * factorial[last]
+                elif height <= k:
+                    grown = "".join(["".join(row) + "\0" for row in rows])
+                    below[grown] = below.get(grown, 0) + ways
+                _row_uninsert(rows, inserted)
+        layer = below
+    return total
 
 
 def count_avoiders(ell: int, k: int, method: str = "formula", *, allow_large: bool = False) -> int:
@@ -183,13 +192,12 @@ def count_avoiders(ell: int, k: int, method: str = "formula", *, allow_large: bo
 
     Three routes: 'brute' counts patience piles over states of the pile
     tops among the unused letters (their number is the longest decrease),
-    'rsk' walks the prefix tree of the ell! words carrying insertion rows
-    (their number is the tableau height), and 'formula' sums squared
-    hook-length counts. Both walks drop a prefix whose statistic is above
-    k, and count r! at once for a prefix at h with r letters left when
-    h + r <= k. They agree; the slow routes exist as checks, and past
-    ell = BRUTE_GUARD_ELL ('brute') or RSK_GUARD_ELL ('rsk') they need
-    allow_large.
+    'rsk' counts prefixes over their insertion tableaux (the number of rows
+    is the tableau height), and 'formula' sums squared hook-length counts.
+    Both slow routes drop a prefix whose statistic is above k, and count r!
+    at once for a prefix at h with r letters left when h + r <= k. They
+    agree; the slow routes exist as checks, and past ell = BRUTE_GUARD_ELL
+    ('brute') or RSK_GUARD_ELL ('rsk') they need allow_large.
     """
     _check_ell_k(ell, k)
     if method == "formula":

@@ -21,6 +21,7 @@ from latmult import (
     rsk,
     syt_sum_squares,
 )
+from latmult.avoidance import _row_insert, _row_uninsert
 
 
 def oracle_lds(word):
@@ -154,6 +155,24 @@ class TestRsk:
         p, _ = rsk(Permutation(tuple(word)))
         assert p.shape.height == oracle_lds(word)
 
+    @pytest.mark.parametrize("letter", [int, chr], ids=["int", "chr"])
+    @given(data=st.data())
+    def test_uninsert_restores_rows_exactly(self, letter, data):
+        # the rsk avoider count reuses one row list per tableau for every
+        # letter it tries, so an undo that left any cell changed would
+        # corrupt the counts that follow without failing
+        word = data.draw(perms_st(max_size=8))
+        cut = data.draw(st.integers(0, len(word) - 1))
+        x = word[data.draw(st.integers(cut, len(word) - 1))]
+        prefix = word[:cut]
+        rows = [[letter(y) for y in row] for row in oracle_rsk(prefix)[0]]
+        before = [list(row) for row in rows]
+        inserted = _row_insert(rows, letter(x))
+        grown = oracle_rsk(prefix + [x])[0]
+        assert rows == [[letter(y) for y in row] for row in grown]
+        _row_uninsert(rows, inserted)
+        assert rows == before
+
 
 class TestCountAvoiders:
     @pytest.mark.parametrize("ell", range(1, 9))
@@ -212,13 +231,20 @@ class TestCountAvoiders:
         # only the walk over pile-top states reaches these sizes at once
         assert count_avoiders(ell, k, "brute", allow_large=True) == syt_sum_squares(ell, k)
 
-    def test_pile_walk_needs_no_stack(self):
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_rsk_tableaux_past_the_guard(self, k):
+        # the forward sum over insertion tableaux reaches one letter past
+        # RSK_GUARD_ELL within seconds
+        assert count_avoiders(10, k, "rsk", allow_large=True) == syt_sum_squares(10, k)
+
+    @pytest.mark.parametrize("method", ["brute", "rsk"])
+    def test_walk_needs_no_stack(self, method):
         # a walk that recursed once per letter placed would need about ell
         # frames at k = ell - 1; the forward sum over layers needs a few
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(frames_in_use() + 8)
         try:
-            count = count_avoiders(12, 11, "brute", allow_large=True)
+            count = count_avoiders(12, 11, method, allow_large=True)
         finally:
             sys.setrecursionlimit(limit)
         assert count == syt_sum_squares(12, 11) == 479001599
