@@ -11,28 +11,37 @@ Move m = ell + j fixes every band's tally on color j, and every clause on
 color j reads only those and the tallies on color j - 1, which the state
 after move m - 1 holds. So which columns of moves may follow, and which
 state each leads to, depends only on (m, s): admissibility._successors
-grows them with the clause step is_admissible replays. The search builds
-each (m, s)'s list once, in a memo local to the call, and _walk walks the
-tree of columns depth first through it. Nothing is shared between calls.
+grows them with the clause step is_admissible replays.
 
-Self-conjugate sequences need only moves 1..ell. Reflecting every path
-swaps colors j and -j and keeps each band and the up-counts after move ell,
-so on a sequence equal to its mirror each clause at color j > 0 is the one
-at -j, and the diagonal after move m > ell is the one after 2 * ell - m.
-Each admissible half (_halves) thus completes to exactly one self-conjugate
-admissible sequence, paths._mirrored's, and has its type.
+The search meets in the middle at move ell. _halves_by_state builds the
+first halves forward, one layer per move for moves 1..ell, each layer a dict
+from a state to the prefixes that reach it; each (m, s)'s successors are
+grown once, and nothing recurses. Reflecting every path swaps colors j and
+-j and keeps the state after move ell, so it sends the clause at color
+j > 0, which reads colors j and j - 1, to the clause at color -j + 1, and
+the diagonal after move m > ell to the one after 2 * ell - m. The
+admissible second halves out of a state s are thus exactly the mirrors of
+the first halves that reach s, and the admissible sequences are the pairs
+(h, g) of first halves in one group, h followed by g mirrored.
+visit_admissible hands over each such pair once, building a group's
+mirrored tails once. The halves are held in memory, syt_sum(ell, k) of
+them, the square root of the visits.
+
+A self-conjugate sequence is the pair (h, h), so each admissible half
+(_halves) completes to exactly one self-conjugate admissible sequence,
+paths._mirrored's, and has the type read off its state after move ell.
 
 The search hands raw move strings to its visitor. Counting needs nothing
 more; only the enumerate_* wrappers build PathSequence objects.
 """
 
-from functools import partial
+from operator import add
 from typing import Callable
 
 from latmult.admissibility import _successors, _type_parts
 from latmult.guards import check_guard
 from latmult.partitions import Partition, _check_ell_k, partitions_of
-from latmult.paths import LatticePath, PathSequence, _mirrored
+from latmult.paths import LatticePath, PathSequence, _mirrored, reflected_moves
 
 GUARD_ELL = 6
 GUARD_K = 5
@@ -47,33 +56,38 @@ def _check_size(ell: int, k: int, allow_large: bool) -> None:
     )
 
 
-def _walk(ell: int, m: int, s: tuple[int, ...], memo: dict, columns: list, visit: Callable) -> None:
-    succ = memo.get((m, s))
-    if succ is None:
-        succ = memo[(m, s)] = _successors(ell, m, s)
-    for column, nxt in succ:
-        columns[m - 1] = column
-        if m == len(columns):
-            visit(tuple(map("".join, zip(*columns))))
-        else:
-            _walk(ell, m + 1, nxt, memo, columns, visit)
+def _halves_by_state(ell: int, k: int) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
+    """The first ell moves of every admissible sequence, grouped by the
+    up-count state after move ell: one layer per move, each a dict from a
+    state to the move-string prefixes that reach it."""
+    layer = {(0,) * (k - 1): [("",) * (k - 1)]}
+    for m in range(1, ell + 1):
+        grown: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
+        for s, prefixes in layer.items():
+            for column, nxt in _successors(ell, m, s):
+                grown.setdefault(nxt, []).extend(tuple(map(add, p, column)) for p in prefixes)
+        layer = grown
+    return layer
 
 
 def visit_admissible(ell: int, k: int, visit: Callable[[tuple[str, ...]], None]) -> None:
     """Stream each admissible sequence exactly once, order unspecified, to
-    visit as its tuple of move strings, first path first.
+    visit as its tuple of move strings, first path first: a first half
+    joined to the mirror of any first half that meets it at one state.
 
     No size guard is applied here; the list building wrappers own that.
     """
     _check_ell_k(ell, k)
-    _walk(ell, 1, (0,) * (k - 1), {}, [()] * (2 * ell), visit)
+    for group in _halves_by_state(ell, k).values():
+        tails = [tuple(map(reflected_moves, g)) for g in group]
+        for h in group:
+            for t in tails:
+                visit(tuple(map(add, h, t)))
 
 
 def _halves(ell: int, k: int) -> list[tuple[str, ...]]:
     """The first ell moves of every self-conjugate admissible sequence."""
-    found: list[tuple[str, ...]] = []
-    _walk(ell, 1, (0,) * (k - 1), {}, [()] * ell, found.append)
-    return found
+    return [h for group in _halves_by_state(ell, k).values() for h in group]
 
 
 def enumerate_admissible(ell: int, k: int, *, allow_large: bool = False) -> list[PathSequence]:
@@ -115,10 +129,10 @@ def count_by_type(ell: int, k: int, *, allow_large: bool = False) -> dict[Partit
     shapes = partitions_of(ell, k)
     tallies = {lam.parts: [0, 0] for lam in shapes}
 
-    def tally(column: int, moves: tuple[str, ...]) -> None:
-        tallies[_type_parts([s.count("U", 0, ell) for s in moves], ell)][column] += 1
+    def tally(moves: tuple[str, ...]) -> None:
+        tallies[_type_parts([s.count("U", 0, ell) for s in moves], ell)][0] += 1
 
-    visit_admissible(ell, k, partial(tally, 0))
-    for half in _halves(ell, k):
-        tally(1, half)
+    visit_admissible(ell, k, tally)
+    for s, group in _halves_by_state(ell, k).items():
+        tallies[_type_parts(s, ell)][1] += len(group)
     return {lam: tuple(tallies[lam.parts]) for lam in shapes}

@@ -2,11 +2,14 @@
 
 Oracle: generate every nested tuple of monotone paths outright (no pruning),
 filter with the clause-by-clause admissibility transcription from
-test_admissibility, and compare sets, counts, and order.
+test_admissibility, and compare sets, counts, and order. Past that oracle's
+reach, a walk over all 2 * ell moves checks the pairing of halves.
 """
 
 import gc
 import itertools
+import operator
+import sys
 import weakref
 
 import pytest
@@ -30,9 +33,11 @@ from latmult import (
     syt_sum,
     syt_sum_squares,
 )
+from latmult.admissibility import _successors, is_admissible
 from latmult.enumeration import visit_admissible
 
 from test_admissibility import oracle_admissible
+from test_avoidance import frames_in_use
 
 
 def all_paths(ell):
@@ -58,7 +63,22 @@ def brute_admissible(ell, k):
     return found
 
 
-ORACLE_GRID = [(1, 2), (1, 4), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
+def walked_admissible(ell, k):
+    """Oracle for the pairing of halves: grow every sequence one column per
+    move through all 2 * ell moves, with no state shared between halves."""
+    layer = [(("",) * (k - 1), (0,) * (k - 1))]
+    for m in range(1, 2 * ell + 1):
+        layer = [
+            (tuple(map(operator.add, moves, column)), nxt)
+            for moves, s in layer
+            for column, nxt in _successors(ell, m, s)
+        ]
+    return [moves for moves, _ in layer]
+
+
+ORACLE_GRID = [
+    (1, 2), (1, 4), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2), (5, 3),
+]
 
 
 class TestAgainstBruteOracle:
@@ -143,6 +163,60 @@ class TestVisitOrderFree:
         # k - 1 paths may move in 2**(k-1) ways at each move; the search
         # must prune a column path by path instead of forming all of them
         assert count_sequences(ell, k, allow_large=True) == (syt_sum_squares(ell, k), syt_sum(ell, k))
+
+
+class TestHalvesMeet:
+    """Each admissible sequence is a first half and the mirror of a first
+    half that reaches the same up-count state after move ell."""
+
+    @pytest.mark.parametrize("ell,k", [(7, 3), (6, 5), (8, 3), (3, 12), (2, 30)])
+    def test_same_set_as_the_full_walk(self, ell, k):
+        seen = []
+        visit_admissible(ell, k, seen.append)
+        walked = walked_admissible(ell, k)
+        assert len(walked) == len(set(walked)) == syt_sum_squares(ell, k)
+        assert len(seen) == len(walked)
+        assert set(seen) == set(walked)
+
+    def test_every_visit_is_admissible(self):
+        seen = []
+        visit_admissible(6, 4, seen.append)
+        assert len(seen) == syt_sum_squares(6, 4)
+        assert all(is_admissible(PathSequence(tuple(map(LatticePath, moves)))) for moves in seen)
+
+
+class TestNoStack:
+    """A search that recursed once per move would need 2 * ell frames; the
+    halves are built forward, one layer per move."""
+
+    @pytest.fixture
+    def shallow(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames_in_use() + 8)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_visit_reaches_a_leaf(self, shallow):
+        class Leaf(Exception):
+            pass
+
+        def stop(moves):
+            raise Leaf(moves)
+
+        with pytest.raises(Leaf) as leaf:
+            visit_admissible(12, 2, stop)
+        (moves,) = leaf.value.args[0]
+        assert len(moves) == 24
+
+    def test_count_sequences(self, shallow):
+        assert count_sequences(12, 2, allow_large=True) == (208012, 924)
+
+    def test_enumerate_self_conjugate(self, shallow):
+        got = enumerate_self_conjugate(12, 2, allow_large=True)
+        assert len(got) == 924
+        assert all(is_self_conjugate(z) for z in got)
 
 
 class TestCountByType:
