@@ -3,7 +3,7 @@ plus the half-swap pairing that factors admissible sequences into ordered
 pairs of self-conjugate ones of the same type."""
 
 from latmult.admissibility import _require_type, _type_of
-from latmult.paths import LatticePath, PathSequence, _mirrored, is_self_conjugate, reflected_moves
+from latmult.paths import PathSequence, _mirrored, _sequence, is_self_conjugate, reflected_moves
 from latmult.tableaux import StandardTableau
 
 
@@ -80,9 +80,7 @@ def join(z1: PathSequence, z2: PathSequence) -> PathSequence:
     if type1 != type2:
         raise ValueError(f"join is only defined within one type class: {type1} vs {type2}")
     ell = z1.ell
-    out = PathSequence(
-        tuple(LatticePath(p.moves[:ell] + q.moves[ell:]) for p, q in zip(z1.paths, z2.paths))
-    )
+    out = _sequence(tuple(p.moves[:ell] + q.moves[ell:] for p, q in zip(z1.paths, z2.paths)))
     if _type_of(out) != type1:
         raise RuntimeError("internal error: join output failed validation")
     return out

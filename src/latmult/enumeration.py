@@ -30,9 +30,12 @@ them, the square root of the visits.
 A self-conjugate sequence is the pair (h, h), so each admissible half
 (_halves) completes to exactly one self-conjugate admissible sequence,
 paths._mirrored's, and has the type read off its state after move ell.
+count_sequences and count_by_type read these off the groups
+visit_admissible returns, so each call builds the halves once.
 
 The search hands raw move strings to its visitor. Counting needs nothing
-more; only the enumerate_* wrappers build PathSequence objects.
+more; only the enumerate_* wrappers build PathSequence objects, through
+paths._sequence.
 """
 
 from operator import add
@@ -41,7 +44,7 @@ from typing import Callable
 from latmult.admissibility import _successors, _type_parts
 from latmult.guards import check_guard
 from latmult.partitions import Partition, _check_ell_k, partitions_of
-from latmult.paths import LatticePath, PathSequence, _mirrored, reflected_moves
+from latmult.paths import PathSequence, _mirrored, _sequence, reflected_moves
 
 GUARD_ELL = 6
 GUARD_K = 5
@@ -70,19 +73,24 @@ def _halves_by_state(ell: int, k: int) -> dict[tuple[int, ...], list[tuple[str, 
     return layer
 
 
-def visit_admissible(ell: int, k: int, visit: Callable[[tuple[str, ...]], None]) -> None:
+def visit_admissible(ell: int, k: int,
+                     visit: Callable[[tuple[str, ...]], None]) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
     """Stream each admissible sequence exactly once, order unspecified, to
     visit as its tuple of move strings, first path first: a first half
     joined to the mirror of any first half that meets it at one state.
+    Returns the first halves it paired, grouped by that state (see
+    _halves_by_state): the self-conjugate sequences' halves.
 
     No size guard is applied here; the list building wrappers own that.
     """
     _check_ell_k(ell, k)
-    for group in _halves_by_state(ell, k).values():
+    groups = _halves_by_state(ell, k)
+    for group in groups.values():
         tails = [tuple(map(reflected_moves, g)) for g in group]
         for h in group:
             for t in tails:
                 visit(tuple(map(add, h, t)))
+    return groups
 
 
 def _halves(ell: int, k: int) -> list[tuple[str, ...]]:
@@ -96,7 +104,7 @@ def enumerate_admissible(ell: int, k: int, *, allow_large: bool = False) -> list
     _check_size(ell, k, allow_large)
     found: list[tuple[str, ...]] = []
     visit_admissible(ell, k, found.append)
-    return [PathSequence(tuple(LatticePath(s) for s in moves)) for moves in sorted(found)]
+    return [_sequence(moves) for moves in sorted(found)]
 
 
 def enumerate_self_conjugate(ell: int, k: int, *, allow_large: bool = False) -> list[PathSequence]:
@@ -108,7 +116,7 @@ def enumerate_self_conjugate(ell: int, k: int, *, allow_large: bool = False) -> 
 
 def count_sequences(ell: int, k: int, *, allow_large: bool = False) -> tuple[int, int]:
     """(admissible, self-conjugate) totals: the search's visits, not listed,
-    and the length of the list of halves."""
+    and the number of halves it paired."""
     _check_size(ell, k, allow_large)
     admissible = 0
 
@@ -116,8 +124,8 @@ def count_sequences(ell: int, k: int, *, allow_large: bool = False) -> tuple[int
         nonlocal admissible
         admissible += 1
 
-    visit_admissible(ell, k, tally)
-    return admissible, len(_halves(ell, k))
+    groups = visit_admissible(ell, k, tally)
+    return admissible, sum(map(len, groups.values()))
 
 
 def count_by_type(ell: int, k: int, *, allow_large: bool = False) -> dict[Partition, tuple[int, int]]:
@@ -132,7 +140,6 @@ def count_by_type(ell: int, k: int, *, allow_large: bool = False) -> dict[Partit
     def tally(moves: tuple[str, ...]) -> None:
         tallies[_type_parts([s.count("U", 0, ell) for s in moves], ell)][0] += 1
 
-    visit_admissible(ell, k, tally)
-    for s, group in _halves_by_state(ell, k).items():
+    for s, group in visit_admissible(ell, k, tally).items():
         tallies[_type_parts(s, ell)][1] += len(group)
     return {lam: tuple(tallies[lam.parts]) for lam in shapes}

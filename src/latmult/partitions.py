@@ -46,22 +46,25 @@ def partitions_of(ell: int, max_height: int) -> list[Partition]:
     if max_height < 1:
         raise ValueError(f"max_height must be >= 1, got {max_height}")
     out: list[Partition] = []
-    prefix: list[int] = []
-
-    def descend(remaining: int, cap: int, slots: int) -> None:
-        if remaining == 0:
-            out.append(Partition(tuple(prefix)))
-            return
-        first = min(remaining, cap)
-        # parts below remaining/slots cannot fill the leftover slots
-        while first >= 1 and first * slots >= remaining:
-            prefix.append(first)
-            descend(remaining - first, first, slots - 1)
-            prefix.pop()
-            first -= 1
-
-    descend(ell, ell, max_height)
-    return out
+    parts = [ell]
+    while True:
+        out.append(Partition(tuple(parts)))
+        # step to the next partition in reverse-lex order: lower the last
+        # part that can drop by one, to q, and refill what follows greedily
+        # with parts q and one smaller tail; a part can drop when the parts
+        # after it, plus the unit it gives up, fit in the slots left, q each
+        rest = 0  # the sum of the parts after i
+        for i in range(len(parts) - 1, -1, -1):
+            q = parts[i] - 1
+            if rest < q * (max_height - i - 1):
+                break
+            rest += parts[i]
+        else:
+            return out
+        full, tail = divmod(rest + 1, q)
+        parts[i:] = [q] * (full + 1)
+        if tail:
+            parts.append(tail)
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -14,8 +14,18 @@ when each path is validated. path_leq reads them to check nesting when a
 PathSequence is built, is_admissible replays them as its up-count states,
 and color_counts reads the whole table off them in O(ell * k); no library
 route calls it.
+
+Equal sequences built by the library are one object while any of them is
+alive. The enumerators, tau, split and join get theirs from _sequence, which
+keeps each live sequence in one weak table keyed by its move strings, so a
+value is built and validated once, by the public constructor, while it
+lives, and its entry leaves with the last object that keys it. The public
+PathSequence(...) constructor still returns a fresh object each time. The
+trade is memory: each live sequence the library built carries one table
+entry, its key tuple and a weak reference.
 """
 
+import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
@@ -92,10 +102,23 @@ def is_self_conjugate(z: PathSequence) -> bool:
     return all(p.moves == reflected_moves(p.moves) for p in z.paths)
 
 
+# move strings -> the live sequence with those paths; weak in the sequence
+_SEQUENCES: weakref.WeakValueDictionary[tuple[str, ...], PathSequence] = weakref.WeakValueDictionary()
+
+
+def _sequence(moves: tuple[str, ...]) -> PathSequence:
+    """The sequence with these move strings, first path first: the live one
+    when there is one, else a new one built and validated by PathSequence."""
+    z = _SEQUENCES.get(moves)
+    if z is None:
+        z = _SEQUENCES[moves] = PathSequence(tuple(LatticePath(s) for s in moves))
+    return z
+
+
 def _mirrored(halves: Iterable[str]) -> PathSequence:
     """The self-conjugate sequence whose paths take the given first ell
     moves and then mirror them across the anti-diagonal."""
-    return PathSequence(tuple(LatticePath(h + reflected_moves(h)) for h in halves))
+    return _sequence(tuple(h + reflected_moves(h) for h in halves))
 
 
 @dataclass(frozen=True)

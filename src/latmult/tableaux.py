@@ -1,4 +1,4 @@
-"""Standard Young tableaux and an exhaustive backtracking enumerator."""
+"""Standard Young tableaux and an exhaustive enumerator."""
 
 from dataclasses import dataclass
 
@@ -38,8 +38,9 @@ class StandardTableau:
 def enumerate_syt(lam: Partition, *, allow_large: bool = False) -> list[StandardTableau]:
     """Every standard filling of lam, sorted by row-major entry reading.
 
-    Places each value 1..n in turn at every cell that keeps the partial
-    filling a Young diagram, then sorts the completed fillings.
+    Places each value 1..n in turn at every cell that keeps each partial
+    filling a Young diagram, one layer of partial fillings per value, then
+    sorts the completed fillings.
     """
     check_guard(
         lam.size <= ENUMERATION_MAX_SIZE,
@@ -48,20 +49,13 @@ def enumerate_syt(lam: Partition, *, allow_large: bool = False) -> list[Standard
     )
     parts = lam.parts
     height = len(parts)
-    fill: list[list[int]] = [[] for _ in range(height)]
-    found: list[tuple[tuple[int, ...], ...]] = []
-
-    def place(v: int) -> None:
-        if v > lam.size:
-            found.append(tuple(tuple(r) for r in fill))
-            return
-        for i in range(height):
-            used = len(fill[i])
-            if used < parts[i] and (i == 0 or len(fill[i - 1]) > used):
-                fill[i].append(v)
-                place(v + 1)
-                fill[i].pop()
-
-    place(1)
-    found.sort(key=lambda rows: tuple(e for row in rows for e in row))
-    return [StandardTableau(rows) for rows in found]
+    fillings: list[tuple[tuple[int, ...], ...]] = [((),) * height]
+    for v in range(1, lam.size + 1):
+        fillings = [
+            rows[:i] + (rows[i] + (v,),) + rows[i + 1:]
+            for rows in fillings
+            for i in range(height)
+            if len(rows[i]) < parts[i] and (i == 0 or len(rows[i - 1]) > len(rows[i]))
+        ]
+    fillings.sort(key=lambda rows: tuple(e for row in rows for e in row))
+    return list(map(StandardTableau, fillings))

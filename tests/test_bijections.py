@@ -4,6 +4,8 @@ Golden move tables pin down both directions on worked six-cell examples;
 round-trip properties cover complete small populations.
 """
 
+import gc
+
 import pytest
 from hypothesis import given
 
@@ -20,8 +22,12 @@ from latmult import (
     sequence_type,
     sigma,
     split,
+    syt_sum_squares,
     tau,
 )
+from latmult import paths
+from latmult.paths import _sequence
+from latmult.verify import run_verification
 
 from conftest import admissible_st, tableaux_st
 
@@ -211,3 +217,45 @@ class TestSplitJoin:
             join(a, b)
         with pytest.raises(ValueError):
             join(a, c)
+
+
+class TestInternTable:
+    """Equal sequences built by the library are one object while any of
+    them is alive, so each value is built and validated once."""
+
+    def test_split_and_join_return_live_objects(self):
+        seqs = enumerate_admissible(5, 4)
+        fixed = enumerate_self_conjugate(5, 4)
+        members = {id(w) for w in fixed}
+        for z in seqs:
+            halves = split(z)
+            assert all(id(w) in members for w in halves)
+            assert join(*halves) is z
+
+    def test_entry_leaves_with_the_last_object(self):
+        gc.collect()
+        before = len(paths._SEQUENCES)
+        fixed = enumerate_self_conjugate(7, 3, allow_large=True)
+        assert len(paths._SEQUENCES) == before + len(fixed)
+        del fixed
+        gc.collect()
+        assert len(paths._SEQUENCES) == before
+
+    def test_invalid_moves_store_nothing(self):
+        z = _sequence(("RRUURU", "RURURU"))
+        before = len(paths._SEQUENCES)
+        with pytest.raises(ValueError):
+            _sequence(("RURURU", "RRUURU"))  # the first path above the second
+        assert len(paths._SEQUENCES) == before
+        assert ("RURURU", "RRUURU") not in paths._SEQUENCES
+        assert _sequence(("RRUURU", "RURURU")) is z
+
+    def test_verify_builds_each_value_once(self, monkeypatch):
+        built = []
+        real = PathSequence.__post_init__
+        monkeypatch.setattr(PathSequence, "__post_init__", lambda z: built.append(z.k) or real(z))
+        results = run_verification(5, 4)
+        assert all(r.ok for r in results)
+        # every sequence split, joined or sent by tau equals one the cell
+        # enumerated, and that one is alive in the cell's list
+        assert len(built) <= sum(syt_sum_squares(ell, k) for ell in range(1, 6) for k in range(2, 5))

@@ -185,6 +185,35 @@ class TestHalvesMeet:
         assert all(is_admissible(PathSequence(tuple(map(LatticePath, moves)))) for moves in seen)
 
 
+class TestHalvesBuiltOnce:
+    """The counts read the self-conjugate totals off the halves the search
+    paired, and still hand every admissible sequence to the visitor."""
+
+    @pytest.mark.parametrize("count", [count_sequences, count_by_type])
+    def test_one_build_per_call(self, count, monkeypatch):
+        import latmult.enumeration as enumeration
+
+        builds, visits = [], []
+        real_build, real_visit = enumeration._halves_by_state, enumeration.visit_admissible
+
+        def build(ell, k):
+            builds.append((ell, k))
+            return real_build(ell, k)
+
+        def visit_each(ell, k, visit):  # counts the visitor's calls, as a tracer would
+            return real_visit(ell, k, lambda moves: visits.append(moves) or visit(moves))
+
+        monkeypatch.setattr(enumeration, "_halves_by_state", build)
+        monkeypatch.setattr(enumeration, "visit_admissible", visit_each)
+        got = count(6, 4)
+        assert builds == [(6, 4)]
+        assert len(visits) == len(set(visits)) == syt_sum_squares(6, 4)
+        if count is count_sequences:
+            assert got == (syt_sum_squares(6, 4), syt_sum(6, 4))
+        else:
+            assert got == {lam: (count_syt(lam) ** 2, count_syt(lam)) for lam in partitions_of(6, 4)}
+
+
 class TestNoStack:
     """A search that recursed once per move would need 2 * ell frames; the
     halves are built forward, one layer per move."""

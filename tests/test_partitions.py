@@ -5,6 +5,7 @@ filter; the oracle for count_syt is exhaustive tableau enumeration.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from latmult import (
 )
 
 from conftest import partitions_st
+from test_avoidance import frames_in_use
 
 
 def brute_partitions(ell, max_height):
@@ -73,6 +75,18 @@ class TestPartitionsOf:
             partitions_of(0, 3)
         with pytest.raises(ValueError):
             partitions_of(4, 0)
+
+    def test_needs_no_stack(self):
+        # a walk that recursed once per part would need 12 frames for
+        # (1, ..., 1); each partition is stepped to from the one before
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames_in_use() + 8)
+        try:
+            got = partitions_of(12, 12)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(got) == 77
+        assert got[0].parts == (12,) and got[-1].parts == (1,) * 12
 
 
 class TestPartitionValidation:

@@ -5,6 +5,7 @@ fillings that increase along rows and columns.
 """
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from hypothesis import given
 from latmult import Partition, StandardTableau, count_syt, enumerate_syt
 
 from conftest import partitions_st, tableaux_st
+from test_avoidance import frames_in_use
 
 
 def brute_syt(lam):
@@ -106,3 +108,14 @@ class TestEnumerate:
         big = Partition((7, 6))
         got = enumerate_syt(big, allow_large=True)
         assert len(got) == count_syt(big)
+
+    def test_needs_no_stack(self):
+        # a walk that recursed once per value placed would need 12 frames;
+        # the layers of partial fillings need none
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames_in_use() + 8)
+        try:
+            got = enumerate_syt(Partition((12,)), allow_large=True)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [x.rows for x in got] == [(tuple(range(1, 13)),)]
