@@ -28,14 +28,15 @@ mirrored tails once. The halves are held in memory, syt_sum(ell, k) of
 them, the square root of the visits.
 
 A self-conjugate sequence is the pair (h, h), so each admissible half
-(_halves) completes to exactly one self-conjugate admissible sequence,
+completes to exactly one self-conjugate admissible sequence,
 paths._mirrored's, and has the type read off its state after move ell.
-count_sequences and count_by_type read these off the groups
-visit_admissible returns, so each call builds the halves once.
+count_sequences and count_by_type read only the group sizes, each from one
+build of the halves: a group of g halves, all of one type, pairs into g * g
+admissible sequences, g of them self-conjugate. Only the lists pair halves
+into sequences.
 
-The search hands raw move strings to its visitor. Counting needs nothing
-more; only the enumerate_* wrappers build PathSequence objects, through
-paths._sequence.
+The search hands raw move strings to its visitor; only the enumerate_*
+wrappers build PathSequence objects, through paths._sequence.
 """
 
 from operator import add
@@ -73,29 +74,19 @@ def _halves_by_state(ell: int, k: int) -> dict[tuple[int, ...], list[tuple[str, 
     return layer
 
 
-def visit_admissible(ell: int, k: int,
-                     visit: Callable[[tuple[str, ...]], None]) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
+def visit_admissible(ell: int, k: int, visit: Callable[[tuple[str, ...]], None]) -> None:
     """Stream each admissible sequence exactly once, order unspecified, to
     visit as its tuple of move strings, first path first: a first half
     joined to the mirror of any first half that meets it at one state.
-    Returns the first halves it paired, grouped by that state (see
-    _halves_by_state): the self-conjugate sequences' halves.
 
     No size guard is applied here; the list building wrappers own that.
     """
     _check_ell_k(ell, k)
-    groups = _halves_by_state(ell, k)
-    for group in groups.values():
+    for group in _halves_by_state(ell, k).values():
         tails = [tuple(map(reflected_moves, g)) for g in group]
         for h in group:
             for t in tails:
                 visit(tuple(map(add, h, t)))
-    return groups
-
-
-def _halves(ell: int, k: int) -> list[tuple[str, ...]]:
-    """The first ell moves of every self-conjugate admissible sequence."""
-    return [h for group in _halves_by_state(ell, k).values() for h in group]
 
 
 def enumerate_admissible(ell: int, k: int, *, allow_large: bool = False) -> list[PathSequence]:
@@ -111,35 +102,29 @@ def enumerate_self_conjugate(ell: int, k: int, *, allow_large: bool = False) -> 
     """The reflection-fixed subset of enumerate_admissible, same order: a
     mirrored half orders as the half does, so the halves are sorted."""
     _check_size(ell, k, allow_large)
-    return [_mirrored(half) for half in sorted(_halves(ell, k))]
+    halves = sorted(h for group in _halves_by_state(ell, k).values() for h in group)
+    return [_mirrored(half) for half in halves]
 
 
 def count_sequences(ell: int, k: int, *, allow_large: bool = False) -> tuple[int, int]:
-    """(admissible, self-conjugate) totals: the search's visits, not listed,
-    and the number of halves it paired."""
+    """(admissible, self-conjugate) totals, not listed: a group of g halves
+    pairs into g * g admissible sequences, g of them self-conjugate."""
     _check_size(ell, k, allow_large)
-    admissible = 0
-
-    def tally(moves: tuple[str, ...]) -> None:
-        nonlocal admissible
-        admissible += 1
-
-    groups = visit_admissible(ell, k, tally)
-    return admissible, sum(map(len, groups.values()))
+    sizes = [len(group) for group in _halves_by_state(ell, k).values()]
+    return sum(g * g for g in sizes), sum(sizes)
 
 
 def count_by_type(ell: int, k: int, *, allow_large: bool = False) -> dict[Partition, tuple[int, int]]:
-    """Per-partition tallies: (admissible count, self-conjugate count).
+    """Per-partition tallies: (admissible count, self-conjugate count), read
+    off the sizes of the half groups, each of one type.
 
     Keys are exactly partitions_of(ell, k) in their canonical order.
     """
     _check_size(ell, k, allow_large)
     shapes = partitions_of(ell, k)
     tallies = {lam.parts: [0, 0] for lam in shapes}
-
-    def tally(moves: tuple[str, ...]) -> None:
-        tallies[_type_parts([s.count("U", 0, ell) for s in moves], ell)][0] += 1
-
-    for s, group in visit_admissible(ell, k, tally).items():
-        tallies[_type_parts(s, ell)][1] += len(group)
+    for s, group in _halves_by_state(ell, k).items():
+        tally = tallies[_type_parts(s, ell)]
+        tally[0] += len(group) ** 2
+        tally[1] += len(group)
     return {lam: tuple(tallies[lam.parts]) for lam in shapes}
