@@ -13,33 +13,37 @@ after move m - 1 holds. So which columns of moves may follow, and which
 state each leads to, depends only on (m, s): admissibility._successors
 grows them with the clause step is_admissible replays.
 
-The search meets in the middle at move ell. _halves_by_state builds the
-first halves forward, one layer per move for moves 1..ell, each layer a dict
-from a state to the prefixes that reach it; each (m, s)'s successors are
-grown once, and nothing recurses. Reflecting every path swaps colors j and
--j and keeps the state after move ell, so it sends the clause at color
-j > 0, which reads colors j and j - 1, to the clause at color -j + 1, and
-the diagonal after move m > ell to the one after 2 * ell - m. The
-admissible second halves out of a state s are thus exactly the mirrors of
-the first halves that reach s, and the admissible sequences are the pairs
-(h, g) of first halves in one group, h followed by g mirrored.
-visit_admissible hands over each such pair once, building a group's
-mirrored tails once. The halves are held in memory, syt_sum(ell, k) of
-them, the square root of the visits.
+The search meets in the middle at move ell. _last_layer is its one walk: it
+runs forward, one layer per move for moves 1..ell, each layer a dict from a
+state to what reaches it, added up over the columns that lead there; each
+(m, s)'s successors are grown once, and nothing recurses. Reflecting every
+path swaps colors j and -j and keeps the state after move ell, so it sends
+the clause at color j > 0, which reads colors j and j - 1, to the clause at
+color -j + 1, and the diagonal after move m > ell to the one after
+2 * ell - m. The admissible second halves out of a state s are thus exactly
+the mirrors of the first halves that reach s, and the admissible sequences
+are the pairs (h, g) of first halves that reach one state, h followed by g
+mirrored.
 
-A self-conjugate sequence is the pair (h, h), so each admissible half
-completes to exactly one self-conjugate admissible sequence,
-paths._mirrored's, and has the type read off its state after move ell.
-count_sequences and count_by_type read only the group sizes, each from one
-build of the halves: a group of g halves, all of one type, pairs into g * g
-admissible sequences, g of them self-conjugate. Only the lists pair halves
-into sequences.
+The lists carry prefixes: _halves_by_state groups the first halves by the
+state they reach, and visit_admissible hands over each pair once, building a
+group's mirrored tails once. They hold the halves in memory, syt_sum(ell, k)
+of them, the square root of the visits. A self-conjugate sequence is the
+pair (h, h), so each admissible half completes to exactly one self-conjugate
+admissible sequence, paths._mirrored's, and has the type read off its state
+after move ell.
+
+The counts carry a number: how many first halves reach each state, g, with
+no half built. Those halves are all of one type, and pair into g * g
+admissible sequences, g of them self-conjugate. So count_sequences and
+count_by_type hold one integer per state, at most
+binomial(ell + k - 1, k - 1) of them, and build no move string.
 
 The search hands raw move strings to its visitor; only the enumerate_*
 wrappers build PathSequence objects, through paths._sequence.
 """
 
-from operator import add
+from operator import add, iadd
 from typing import Callable
 
 from latmult.admissibility import _successors, _type_parts
@@ -60,18 +64,25 @@ def _check_size(ell: int, k: int, allow_large: bool) -> None:
     )
 
 
-def _halves_by_state(ell: int, k: int) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
-    """The first ell moves of every admissible sequence, grouped by the
-    up-count state after move ell: one layer per move, each a dict from a
-    state to the move-string prefixes that reach it."""
-    layer = {(0,) * (k - 1): [("",) * (k - 1)]}
+def _last_layer(ell: int, k: int, start, carry: Callable) -> dict[tuple[int, ...], object]:
+    """What reaches each up-count state after move ell, one layer per move:
+    the start state holds start, carry(held, column) is what a state passes
+    through one column, and what reaches a state is added up."""
+    layer = {(0,) * (k - 1): start}
     for m in range(1, ell + 1):
-        grown: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
-        for s, prefixes in layer.items():
+        grown: dict[tuple[int, ...], object] = {}
+        for s, held in layer.items():
             for column, nxt in _successors(ell, m, s):
-                grown.setdefault(nxt, []).extend(tuple(map(add, p, column)) for p in prefixes)
+                grown[nxt] = iadd(grown[nxt], carry(held, column)) if nxt in grown else carry(held, column)
         layer = grown
     return layer
+
+
+def _halves_by_state(ell: int, k: int) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
+    """The first ell moves of every admissible sequence, grouped by the
+    up-count state after move ell."""
+    start = [("",) * (k - 1)]
+    return _last_layer(ell, k, start, lambda held, column: [tuple(map(add, p, column)) for p in held])
 
 
 def visit_admissible(ell: int, k: int, visit: Callable[[tuple[str, ...]], None]) -> None:
@@ -107,24 +118,24 @@ def enumerate_self_conjugate(ell: int, k: int, *, allow_large: bool = False) -> 
 
 
 def count_sequences(ell: int, k: int, *, allow_large: bool = False) -> tuple[int, int]:
-    """(admissible, self-conjugate) totals, not listed: a group of g halves
-    pairs into g * g admissible sequences, g of them self-conjugate."""
+    """(admissible, self-conjugate) totals, not listed: g halves that reach
+    one state pair into g * g admissible sequences, g of them self-conjugate."""
     _check_size(ell, k, allow_large)
-    sizes = [len(group) for group in _halves_by_state(ell, k).values()]
-    return sum(g * g for g in sizes), sum(sizes)
+    counts = _last_layer(ell, k, 1, lambda g, column: g).values()
+    return sum(g * g for g in counts), sum(counts)
 
 
 def count_by_type(ell: int, k: int, *, allow_large: bool = False) -> dict[Partition, tuple[int, int]]:
     """Per-partition tallies: (admissible count, self-conjugate count), read
-    off the sizes of the half groups, each of one type.
+    off how many halves reach each state; those halves share the state's type.
 
     Keys are exactly partitions_of(ell, k) in their canonical order.
     """
     _check_size(ell, k, allow_large)
     shapes = partitions_of(ell, k)
     tallies = {lam.parts: [0, 0] for lam in shapes}
-    for s, group in _halves_by_state(ell, k).items():
+    for s, g in _last_layer(ell, k, 1, lambda g, column: g).items():
         tally = tallies[_type_parts(s, ell)]
-        tally[0] += len(group) ** 2
-        tally[1] += len(group)
+        tally[0] += g * g
+        tally[1] += g
     return {lam: tuple(tallies[lam.parts]) for lam in shapes}

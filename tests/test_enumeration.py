@@ -8,6 +8,7 @@ reach, a walk over all 2 * ell moves checks the pairing of halves.
 
 import gc
 import itertools
+import math
 import operator
 import sys
 import weakref
@@ -158,7 +159,7 @@ class TestVisitOrderFree:
         keys = [tuple(p.moves for p in z.paths) for z in got]
         assert keys == sorted(keys)
 
-    @pytest.mark.parametrize("ell,k", [(2, 30), (3, 12), (4, 10), (12, 5), (10, 6)])
+    @pytest.mark.parametrize("ell,k", [(2, 30), (3, 12), (4, 10), (12, 5), (10, 6), (30, 5), (40, 4), (60, 3)])
     def test_many_paths_on_a_small_square(self, ell, k):
         # k - 1 paths may move in 2**(k-1) ways at each move; the search
         # must prune a column path by path instead of forming all of them
@@ -186,24 +187,26 @@ class TestHalvesMeet:
 
 
 class TestHalvesBuiltOnce:
-    """The counts read their totals off the sizes of one build of the half
-    groups, and never pair halves into sequences."""
+    """The counts carry a number per state through one walk of the first
+    ell moves: they build no halves and never pair halves into sequences."""
 
     @pytest.mark.parametrize("count", [count_sequences, count_by_type])
     def test_one_build_per_call(self, count, monkeypatch):
         import latmult.enumeration as enumeration
 
-        builds, visits = [], []
-        real_build = enumeration._halves_by_state
+        walks, builds, visits = [], [], []
+        real_walk = enumeration._last_layer
 
-        def build(ell, k):
-            builds.append((ell, k))
-            return real_build(ell, k)
+        def walk(ell, k, start, carry):
+            walks.append((ell, k))
+            return real_walk(ell, k, start, carry)
 
-        monkeypatch.setattr(enumeration, "_halves_by_state", build)
+        monkeypatch.setattr(enumeration, "_last_layer", walk)
+        monkeypatch.setattr(enumeration, "_halves_by_state", lambda *args: builds.append(args))
         monkeypatch.setattr(enumeration, "visit_admissible", lambda *args: visits.append(args))
         got = count(6, 4)
-        assert builds == [(6, 4)]
+        assert walks == [(6, 4)]
+        assert builds == []
         assert visits == []
         if count is count_sequences:
             assert got == (syt_sum_squares(6, 4), syt_sum(6, 4))
@@ -266,8 +269,12 @@ class TestCountByType:
             fixed = [z for z in matching if is_self_conjugate(z)]
             assert per[lam] == (len(matching), len(fixed))
 
-    @pytest.mark.parametrize("ell,k", [(3, 3), (4, 3), (5, 4), (5, 5), (9, 4), (10, 3), (8, 6), (12, 2)])
+    @pytest.mark.parametrize(
+        "ell,k", [(3, 3), (4, 3), (5, 4), (5, 5), (9, 4), (10, 3), (8, 6), (12, 2), (20, 4), (30, 3), (30, 5)]
+    )
     def test_per_type_hook_values(self, ell, k):
+        # each state's count is the number of halves of its type, which tau
+        # matches with the standard tableaux of that shape
         per = count_by_type(ell, k, allow_large=True)
         assert list(per) == partitions_of(ell, k)
         for lam, (admissible, fixed) in per.items():
@@ -278,6 +285,26 @@ class TestCountByType:
         # [DERIVED] hook length formula, at the guard's ell
         per = count_by_type(6, 4)
         assert per == {lam: (count_syt(lam) ** 2, count_syt(lam)) for lam in partitions_of(6, 4)}
+
+
+class TestClosedForms:
+    """Totals with closed forms that do not go through the hook formula."""
+
+    @pytest.mark.parametrize("ell", [50, 200, 500])
+    def test_one_path_catalan_and_central_binomial(self, ell):
+        # [DERIVED] at k = 2 the shapes have at most 2 rows: sum f^2 is the
+        # Catalan number and sum f is the central binomial coefficient
+        catalan = math.comb(2 * ell, ell) // (ell + 1)
+        assert count_sequences(ell, 2, allow_large=True) == (catalan, math.comb(ell, ell // 2))
+
+    @pytest.mark.parametrize("ell,k", [(8, 8), (9, 12), (10, 10)])
+    def test_unbounded_height_factorial_and_involutions(self, ell, k):
+        # [DERIVED] at k >= ell every shape of ell occurs: sum f^2 = ell! by
+        # RSK, and sum f counts the involutions, a(n) = a(n-1) + (n-1) a(n-2)
+        involutions = [1, 1]
+        for n in range(2, ell + 1):
+            involutions.append(involutions[n - 1] + (n - 1) * involutions[n - 2])
+        assert count_sequences(ell, k, allow_large=True) == (math.factorial(ell), involutions[ell])
 
 
 class TestGuards:
