@@ -14,13 +14,13 @@ fixed k. 'rsk' carries insertion rows instead, since what a prefix can
 still become depends only on its insertion tableau (the rows hold the used
 letters, and the next letter is row-inserted into them). So it sums
 tableaux forward, one layer per letter placed, and reads the tableau
-height. The two share no state. Each route has its own guard: 'brute' at
+height; each row is a bitset of its letters, so a tableau is one tuple of
+ints. The two share no state. Each route has its own guard: 'brute' at
 ell <= BRUTE_GUARD_ELL, 'rsk' at ell <= RSK_GUARD_ELL.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TypeVar
 
 from latmult.guards import check_guard
 from latmult.partitions import _check_ell_k, syt_sum_squares
@@ -28,8 +28,6 @@ from latmult.tableaux import StandardTableau
 
 BRUTE_GUARD_ELL = 10
 RSK_GUARD_ELL = 9
-
-_Letter = TypeVar("_Letter", int, str)
 
 
 @dataclass(frozen=True)
@@ -67,14 +65,13 @@ def lds_length(w: Permutation) -> int:
     return len(tails)
 
 
-def _row_insert(rows: list[list[_Letter]], x: _Letter) -> tuple[list[_Letter], list[int]]:
+def _row_insert(rows: list[list[int]], x: int) -> tuple[list[int], list[int]]:
     """Schensted row insertion of x into rows, in place.
 
     Each incomer bumps the smallest entry strictly greater than itself, and
     the bumped entry carries to the next row. Returns the row that grew
     (a new last row when x fell off the bottom) and the column of each
     bump, one per row passed, so the grown row's index is len(bumps).
-    Letters are ints, or the one-character strings _count_words holds.
     """
     bumps: list[int] = []
     for row in rows:
@@ -87,20 +84,6 @@ def _row_insert(rows: list[list[_Letter]], x: _Letter) -> tuple[list[_Letter], l
     grown = [x]
     rows.append(grown)
     return grown, bumps
-
-
-def _row_uninsert(rows: list[list[_Letter]], inserted: tuple[list[_Letter], list[int]]) -> None:
-    # undo _row_insert: take the new cell back and replay the bumps upward
-    grown, bumps = inserted
-    cur = grown.pop()
-    if not grown:
-        rows.pop()
-    r = len(bumps)
-    while r:
-        r -= 1
-        row = rows[r]
-        idx = bumps[r]
-        row[idx], cur = cur, row[idx]
 
 
 def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
@@ -152,37 +135,52 @@ def _count_piles(ell: int, k: int, factorial: list[int]) -> int:
     return total
 
 
+def _bit_insert(rows: tuple[int, ...], x: int) -> list[int]:
+    # _row_insert on bitset rows, the letter x given as its bit: the
+    # smallest entry strictly greater than the incomer is the lowest bit of
+    # the row above it
+    grown = list(rows)
+    for r, row in enumerate(grown):
+        above = row & -(x << 1)
+        if not above:
+            grown[r] = row | x
+            return grown
+        low = above & -above
+        grown[r] = row ^ low | x
+        x = low
+    grown.append(x)
+    return grown
+
+
 def _count_words(ell: int, k: int, factorial: list[int]) -> int:
     """Words of 1..ell with at most k insertion rows, counted over tableaux.
 
     What a prefix can still become depends only on its insertion rows: the
     rows hold exactly the used letters, and the next letter is row-inserted
     into them. So the rows are summed forward, one layer per letter placed,
-    each carrying the number of prefixes that reach them. A state is keyed
-    by one string: each letter is chr(x) and each row is closed by chr(0).
-    The rows are held as those one-character strings too, which compare as
-    the letters do, so a child's key is a join; each letter is inserted in
-    place and taken back.
+    each carrying the number of prefixes that reach them. Each row is a
+    bitset, bit x set when letter x is in it, and a state is the tuple of
+    its rows: the unused letters are the bits missing from their sum, and
+    _bit_insert builds each child as a new tuple.
     """
     total = 0
-    letters = [chr(x) for x in range(1, ell + 1)]
-    layer = {"": 1}  # rows -> prefixes reaching them
+    full = (2 << ell) - 2  # bits 1..ell
+    layer: dict[tuple[int, ...], int] = {(): 1}  # rows -> prefixes reaching them
     for left in range(ell, 0, -1):
         last = left - 1
-        below: dict[str, int] = {}
-        for key, ways in layer.items():
-            rows = [list(row) for row in key.split("\0")[:-1]]
-            for x in letters:
-                if x in key:
-                    continue
-                inserted = _row_insert(rows, x)
-                height = len(rows)
+        below: dict[tuple[int, ...], int] = {}
+        for rows, ways in layer.items():
+            free = full ^ sum(rows)
+            while free:
+                x = free & -free
+                free ^= x
+                grown = _bit_insert(rows, x)
+                height = len(grown)
                 if height + last <= k:
                     total += ways * factorial[last]
                 elif height <= k:
-                    grown = "".join(["".join(row) + "\0" for row in rows])
-                    below[grown] = below.get(grown, 0) + ways
-                _row_uninsert(rows, inserted)
+                    key = tuple(grown)
+                    below[key] = below.get(key, 0) + ways
         layer = below
     return total
 

@@ -21,7 +21,7 @@ from latmult import (
     rsk,
     syt_sum_squares,
 )
-from latmult.avoidance import _row_insert, _row_uninsert
+from latmult.avoidance import _bit_insert
 
 
 def oracle_lds(word):
@@ -155,23 +155,21 @@ class TestRsk:
         p, _ = rsk(Permutation(tuple(word)))
         assert p.shape.height == oracle_lds(word)
 
-    @pytest.mark.parametrize("letter", [int, chr], ids=["int", "chr"])
     @given(data=st.data())
-    def test_uninsert_restores_rows_exactly(self, letter, data):
-        # the rsk avoider count reuses one row list per tableau for every
-        # letter it tries, so an undo that left any cell changed would
+    def test_bitset_step_matches_cell_by_cell_insertion(self, data):
+        # the rsk avoider count builds every child tableau with this one
+        # step on bitset rows, so a step that misplaced any letter would
         # corrupt the counts that follow without failing
-        word = data.draw(perms_st(max_size=8))
+        word = data.draw(perms_st(max_size=10))
         cut = data.draw(st.integers(0, len(word) - 1))
         x = word[data.draw(st.integers(cut, len(word) - 1))]
         prefix = word[:cut]
-        rows = [[letter(y) for y in row] for row in oracle_rsk(prefix)[0]]
-        before = [list(row) for row in rows]
-        inserted = _row_insert(rows, letter(x))
-        grown = oracle_rsk(prefix + [x])[0]
-        assert rows == [[letter(y) for y in row] for row in grown]
-        _row_uninsert(rows, inserted)
-        assert rows == before
+
+        def bits(rows):
+            return [sum(1 << y for y in row) for row in rows]
+
+        grown = _bit_insert(tuple(bits(oracle_rsk(prefix)[0])), 1 << x)
+        assert grown == bits(oracle_rsk(prefix + [x])[0])
 
 
 class TestCountAvoiders:
@@ -236,6 +234,11 @@ class TestCountAvoiders:
         # the forward sum over insertion tableaux reaches one letter past
         # RSK_GUARD_ELL within seconds
         assert count_avoiders(10, k, "rsk", allow_large=True) == syt_sum_squares(10, k)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_rsk_tableaux_two_past_the_guard(self, k):
+        # with bitset rows the walk reaches ell = 11 within a few seconds
+        assert count_avoiders(11, k, "rsk", allow_large=True) == syt_sum_squares(11, k)
 
     @pytest.mark.parametrize("method", ["brute", "rsk"])
     def test_walk_needs_no_stack(self, method):
