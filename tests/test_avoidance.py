@@ -54,6 +54,30 @@ def oracle_rsk(word):
     return tuple(map(tuple, p)), tuple(map(tuple, q))
 
 
+def oracle_uninsert(rows, r):
+    """Reverse row insertion from the last cell of row r, with linear scans.
+
+    Each outgoer moves up a row and displaces the largest entry strictly
+    smaller than itself. Returns the rows left and the letter ejected at
+    the top.
+    """
+    rows = [list(row) for row in rows]
+    x = rows[r].pop()
+    if not rows[r]:
+        rows.pop()
+    while r:
+        r -= 1
+        y = max(v for v in rows[r] if v < x)
+        rows[r][rows[r].index(y)] = x
+        x = y
+    return rows, x
+
+
+def bitset_rows(rows):
+    """Each row as a bitset, bit y set when letter y is in it."""
+    return [sum(1 << y for y in row) for row in rows]
+
+
 @lru_cache(maxsize=None)
 def oracle_lds_histogram(n):
     """How many words of 1..n have each longest-decrease length, by the DP."""
@@ -164,12 +188,32 @@ class TestRsk:
         cut = data.draw(st.integers(0, len(word) - 1))
         x = word[data.draw(st.integers(cut, len(word) - 1))]
         prefix = word[:cut]
+        grown = _bit_insert(tuple(bitset_rows(oracle_rsk(prefix)[0])), 1 << x)
+        assert grown == bitset_rows(oracle_rsk(prefix + [x])[0])
 
-        def bits(rows):
-            return [sum(1 << y for y in row) for row in rows]
+    @pytest.mark.parametrize("letter", [int, chr], ids=["int", "chr"])
+    @given(data=st.data())
+    def test_uninsert_restores_rows_exactly(self, letter, data):
+        # the rsk avoider count grows every free letter from one shared
+        # parent and takes it back by dropping the child, so each child
+        # must be exactly one insertion away from that parent: undoing
+        # the step from the row that grew gives back the parent's rows and
+        # the letter, whether the letters are read as ints or as strings
+        word = data.draw(perms_st(max_size=8))
+        cut = data.draw(st.integers(0, len(word) - 1))
+        n = len(word)
 
-        grown = _bit_insert(tuple(bits(oracle_rsk(prefix)[0])), 1 << x)
-        assert grown == bits(oracle_rsk(prefix + [x])[0])
+        def letters(row):
+            return [letter(y) for y in range(1, n + 1) if row >> y & 1]
+
+        parent = tuple(bitset_rows(oracle_rsk(word[:cut])[0]))
+        for x in word[cut:]:
+            child = _bit_insert(parent, 1 << x)
+            sizes = [row.bit_count() for row in parent] + [0]
+            r = next(i for i, row in enumerate(child) if row.bit_count() > sizes[i])
+            rows, ejected = oracle_uninsert([letters(row) for row in child], r)
+            assert rows == [letters(row) for row in parent]
+            assert ejected == letter(x)
 
 
 class TestCountAvoiders:
