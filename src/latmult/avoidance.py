@@ -191,7 +191,8 @@ def count_avoiders(ell: int, k: int, method: str = "formula", *, allow_large: bo
     Three routes: 'brute' counts patience piles over states of the pile
     tops among the unused letters (their number is the longest decrease),
     'rsk' counts prefixes over their insertion tableaux (the number of rows
-    is the tableau height), and 'formula' sums squared hook-length counts.
+    is the tableau height), and 'formula' sums the squared tableau counts
+    f_lambda (syt_sum_squares).
     Both slow routes drop a prefix whose statistic is above k, and count r!
     at once for a prefix at h with r letters left when h + r <= k. They
     agree; the slow routes exist as checks, and past ell = BRUTE_GUARD_ELL

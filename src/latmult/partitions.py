@@ -1,10 +1,15 @@
 """Integer partitions, hook lengths, and exact standard-filling counts.
 
-Everything here is exact: counts are Python integers, division happens only
-after the divisibility has been checked.
+Everything here is exact: counts are Python integers, and a quotient is
+used only once its remainder has been checked to be 0. count_syt uses
+Frobenius' product over the shifted parts; the hook lengths are kept as
+an independent description of the same count. syt_sum and syt_sum_squares
+are cached per (ell, min(k, ell)) for the life of the process, two
+integers per distinct key; the partition lists are not kept.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 
@@ -83,16 +88,24 @@ def hook_lengths(lam: Partition) -> tuple[tuple[int, ...], ...]:
 
 
 def count_syt(lam: Partition) -> int:
-    """Number of standard fillings of lam by the hook length formula."""
-    hooks = 1
-    for row in hook_lengths(lam):
-        for h in row:
-            hooks *= h
-    numer = factorial(lam.size)
-    if numer % hooks:
-        # the hook product always divides the factorial; a remainder means a bug
-        raise RuntimeError(f"hook product {hooks} does not divide {lam.size}!")
-    return numer // hooks
+    """Number of standard fillings of lam by Frobenius' product formula.
+
+    With h parts and shifted parts l_i = lam_i + h - 1 - i, the count is
+    n! * prod_{i<j} (l_i - l_j) / prod_i l_i! (Frobenius 1900; Fulton,
+    Young Tableaux, ch. 4): h(h-1)/2 differences and h factorials.
+    """
+    h = len(lam.parts)
+    shifted = [p + h - 1 - i for i, p in enumerate(lam.parts)]
+    numer, denom = factorial(lam.size), 1
+    for i, a in enumerate(shifted):
+        denom *= factorial(a)
+        for b in shifted[i + 1:]:
+            numer *= a - b
+    f, rem = divmod(numer, denom)
+    if rem:
+        # the factorials always divide the product; a remainder means a bug
+        raise RuntimeError(f"factorial product {denom} does not divide {numer}")
+    return f
 
 
 def _check_ell_k(ell: int, k: int) -> None:
@@ -102,13 +115,20 @@ def _check_ell_k(ell: int, k: int) -> None:
         raise ValueError(f"k must be >= 2, got {k}")
 
 
+@cache
+def _sums(ell: int, k: int) -> tuple[int, int]:
+    """(Sum of f, sum of f squared) over partitions_of(ell, k), kept per key."""
+    fs = [count_syt(lam) for lam in partitions_of(ell, k)]
+    return sum(fs), sum(f * f for f in fs)
+
+
 def syt_sum(ell: int, k: int) -> int:
     """Sum of count_syt over all partitions of ell with height at most k."""
     _check_ell_k(ell, k)
-    return sum(count_syt(lam) for lam in partitions_of(ell, k))
+    return _sums(ell, min(k, ell))[0]
 
 
 def syt_sum_squares(ell: int, k: int) -> int:
     """Sum of count_syt squared over all partitions of ell with height at most k."""
     _check_ell_k(ell, k)
-    return sum(count_syt(lam) ** 2 for lam in partitions_of(ell, k))
+    return _sums(ell, min(k, ell))[1]

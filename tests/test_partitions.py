@@ -1,7 +1,9 @@
 """Partition generation, conjugation, hooks, and tableau counting.
 
 The independent oracle for partitions_of is a brute-force composition
-filter; the oracle for count_syt is exhaustive tableau enumeration.
+filter; the oracles for count_syt are exhaustive tableau enumeration and
+the hook length formula, and the sums are checked against n! and the
+involution numbers where the height is unbounded.
 """
 
 import math
@@ -22,6 +24,7 @@ from latmult import (
     syt_sum_squares,
 )
 
+import latmult.partitions as partitions_module
 from conftest import partitions_st
 from test_avoidance import frames_in_use
 
@@ -215,3 +218,76 @@ class TestSums:
             syt_sum(4, 1)
         with pytest.raises(ValueError):
             syt_sum_squares(4, 1)
+
+
+def hook_count(lam):
+    """Oracle: f_lambda by the hook length formula, n! over the hook product."""
+    return math.factorial(lam.size) // math.prod(h for row in hook_lengths(lam) for h in row)
+
+
+def involutions(n):
+    """Oracle: a(n) = a(n-1) + (n-1) a(n-2), a(0) = a(1) = 1."""
+    a, b = 1, 1
+    for m in range(2, n + 1):
+        a, b = b, b + (m - 1) * a
+    return b
+
+
+class TestFrobeniusProduct:
+    def test_matches_hook_formula_through_thirty(self):
+        # [DERIVED] every shape of every n <= 30 (5 604 shapes at n = 30)
+        for n in range(1, 31):
+            for lam in partitions_of(n, n):
+                assert count_syt(lam) == hook_count(lam), lam
+
+    def test_remainder_raises(self, monkeypatch):
+        # (2, 2): 4! * (3 - 2) / (3! 2!) = 2; a 4! one too large leaves 25 / 12
+        monkeypatch.setattr(partitions_module, "factorial", lambda m: math.factorial(m) + (m == 4))
+        with pytest.raises(RuntimeError):
+            count_syt(Partition((2, 2)))
+
+
+class TestSumCache:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_uncached_sums(self, k):
+        for ell in range(1, 26):
+            fs = [count_syt(lam) for lam in partitions_of(ell, k)]
+            for _ in range(2):
+                assert syt_sum(ell, k) == sum(fs)
+                assert syt_sum_squares(ell, k) == sum(f * f for f in fs)
+
+    @given(st.integers(1, 15), st.integers(1, 30))
+    def test_heights_past_ell_change_nothing(self, ell, extra):
+        k = max(ell, 2)
+        assert syt_sum(ell, k + extra) == syt_sum(ell, k)
+        assert syt_sum_squares(ell, k + extra) == syt_sum_squares(ell, k)
+
+    def test_unbounded_height_closed_forms(self):
+        # [DERIVED] sum f^2 = n! (RSK) and sum f = involutions of [n]
+        for n in range(1, 41):
+            k = max(n, 2)
+            assert syt_sum_squares(n, k) == math.factorial(n)
+            assert syt_sum(n, k) == involutions(n)
+
+    def test_one_computation_per_key(self, monkeypatch):
+        # both sums and every k >= ell share the key (ell, min(k, ell)), and
+        # a miss calls count_syt through the module, once per shape
+        calls = []
+        real = partitions_module.count_syt
+        monkeypatch.setattr(partitions_module, "count_syt", lambda lam: calls.append(lam) or real(lam))
+        partitions_module._sums.cache_clear()
+        assert syt_sum(9, 9) == involutions(9)
+        assert len(calls) == len(partitions_of(9, 9)) == 30
+        assert syt_sum(9, 12) == involutions(9)
+        assert syt_sum_squares(9, 9) == syt_sum_squares(9, 40) == math.factorial(9)
+        assert len(calls) == 30
+
+    @pytest.mark.parametrize("fn", [syt_sum, syt_sum_squares])
+    def test_bad_input_raises_every_time(self, fn):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                fn(0, 3)
+        fn(5, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                fn(5, 1)
