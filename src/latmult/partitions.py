@@ -2,14 +2,12 @@
 
 Everything here is exact: counts are Python integers, and a quotient is
 used only once its remainder has been checked to be 0. count_syt uses
-Frobenius' product over the shifted parts; the hook lengths are kept as
-an independent description of the same count. syt_sum and syt_sum_squares
-are cached per (ell, min(k, ell)) for the life of the process, two
-integers per distinct key; the partition lists are not kept.
+Frobenius' product over the rows or, for a shape taller than wide, the
+columns; the hook lengths are kept as an independent description of the
+same count.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from math import factorial
 
 
@@ -92,10 +90,18 @@ def count_syt(lam: Partition) -> int:
 
     With h parts and shifted parts l_i = lam_i + h - 1 - i, the count is
     n! * prod_{i<j} (l_i - l_j) / prod_i l_i! (Frobenius 1900; Fulton,
-    Young Tableaux, ch. 4): h(h-1)/2 differences and h factorials.
+    Young Tableaux, ch. 4): h(h-1)/2 differences and h factorials. As
+    f_lam = f_lam', a shape taller than wide is counted by its columns.
     """
-    h = len(lam.parts)
-    shifted = [p + h - 1 - i for i, p in enumerate(lam.parts)]
+    parts = lam.parts
+    if len(parts) > parts[0]:
+        # the column lengths, read off the rows from the bottom up
+        cols: list[int] = []
+        for i in range(len(parts) - 1, -1, -1):
+            cols += [i + 1] * (parts[i] - len(cols))
+        parts = cols
+    h = len(parts)
+    shifted = [p + h - 1 - i for i, p in enumerate(parts)]
     numer, denom = factorial(lam.size), 1
     for i, a in enumerate(shifted):
         denom *= factorial(a)
@@ -115,20 +121,13 @@ def _check_ell_k(ell: int, k: int) -> None:
         raise ValueError(f"k must be >= 2, got {k}")
 
 
-@cache
-def _sums(ell: int, k: int) -> tuple[int, int]:
-    """(Sum of f, sum of f squared) over partitions_of(ell, k), kept per key."""
-    fs = [count_syt(lam) for lam in partitions_of(ell, k)]
-    return sum(fs), sum(f * f for f in fs)
-
-
 def syt_sum(ell: int, k: int) -> int:
     """Sum of count_syt over all partitions of ell with height at most k."""
     _check_ell_k(ell, k)
-    return _sums(ell, min(k, ell))[0]
+    return sum(count_syt(lam) for lam in partitions_of(ell, k))
 
 
 def syt_sum_squares(ell: int, k: int) -> int:
     """Sum of count_syt squared over all partitions of ell with height at most k."""
     _check_ell_k(ell, k)
-    return _sums(ell, min(k, ell))[1]
+    return sum(count_syt(lam) ** 2 for lam in partitions_of(ell, k))

@@ -161,6 +161,19 @@ class TestHookLengths:
             assert grid[i][j] == arm + leg + 1
 
 
+def hook_count(lam):
+    """Oracle: f_lambda by the hook length formula, n! over the hook product."""
+    return math.factorial(lam.size) // math.prod(h for row in hook_lengths(lam) for h in row)
+
+
+def involutions(n):
+    """Oracle: a(n) = a(n-1) + (n-1) a(n-2), a(0) = a(1) = 1."""
+    a, b = 1, 1
+    for m in range(2, n + 1):
+        a, b = b, b + (m - 1) * a
+    return b
+
+
 class TestCountSyt:
     def test_single_cell(self):
         # [TRIVIAL]
@@ -213,54 +226,12 @@ class TestSums:
         assert syt_sum(ell, k) == sum(fs)
         assert syt_sum_squares(ell, k) == sum(f * f for f in fs)
 
-    def test_rejects_small_k(self):
-        with pytest.raises(ValueError):
-            syt_sum(4, 1)
-        with pytest.raises(ValueError):
-            syt_sum_squares(4, 1)
-
-
-def hook_count(lam):
-    """Oracle: f_lambda by the hook length formula, n! over the hook product."""
-    return math.factorial(lam.size) // math.prod(h for row in hook_lengths(lam) for h in row)
-
-
-def involutions(n):
-    """Oracle: a(n) = a(n-1) + (n-1) a(n-2), a(0) = a(1) = 1."""
-    a, b = 1, 1
-    for m in range(2, n + 1):
-        a, b = b, b + (m - 1) * a
-    return b
-
-
-class TestFrobeniusProduct:
-    def test_matches_hook_formula_through_thirty(self):
-        # [DERIVED] every shape of every n <= 30 (5 604 shapes at n = 30)
-        for n in range(1, 31):
-            for lam in partitions_of(n, n):
-                assert count_syt(lam) == hook_count(lam), lam
-
-    def test_remainder_raises(self, monkeypatch):
-        # (2, 2): 4! * (3 - 2) / (3! 2!) = 2; a 4! one too large leaves 25 / 12
-        monkeypatch.setattr(partitions_module, "factorial", lambda m: math.factorial(m) + (m == 4))
-        with pytest.raises(RuntimeError):
-            count_syt(Partition((2, 2)))
-
-
-class TestSumCache:
-    @pytest.mark.parametrize("k", range(2, 9))
-    def test_matches_uncached_sums(self, k):
+    def test_sum_matches_direct_summation_through_25(self):
         for ell in range(1, 26):
-            fs = [count_syt(lam) for lam in partitions_of(ell, k)]
-            for _ in range(2):
-                assert syt_sum(ell, k) == sum(fs)
-                assert syt_sum_squares(ell, k) == sum(f * f for f in fs)
-
-    @given(st.integers(1, 15), st.integers(1, 30))
-    def test_heights_past_ell_change_nothing(self, ell, extra):
-        k = max(ell, 2)
-        assert syt_sum(ell, k + extra) == syt_sum(ell, k)
-        assert syt_sum_squares(ell, k + extra) == syt_sum_squares(ell, k)
+            for k in range(2, 9):
+                fs = [count_syt(lam) for lam in partitions_of(ell, k)]
+                assert syt_sum(ell, k) == sum(fs), (ell, k)
+                assert syt_sum_squares(ell, k) == sum(f * f for f in fs), (ell, k)
 
     def test_unbounded_height_closed_forms(self):
         # [DERIVED] sum f^2 = n! (RSK) and sum f = involutions of [n]
@@ -268,19 +239,6 @@ class TestSumCache:
             k = max(n, 2)
             assert syt_sum_squares(n, k) == math.factorial(n)
             assert syt_sum(n, k) == involutions(n)
-
-    def test_one_computation_per_key(self, monkeypatch):
-        # both sums and every k >= ell share the key (ell, min(k, ell)), and
-        # a miss calls count_syt through the module, once per shape
-        calls = []
-        real = partitions_module.count_syt
-        monkeypatch.setattr(partitions_module, "count_syt", lambda lam: calls.append(lam) or real(lam))
-        partitions_module._sums.cache_clear()
-        assert syt_sum(9, 9) == involutions(9)
-        assert len(calls) == len(partitions_of(9, 9)) == 30
-        assert syt_sum(9, 12) == involutions(9)
-        assert syt_sum_squares(9, 9) == syt_sum_squares(9, 40) == math.factorial(9)
-        assert len(calls) == 30
 
     @pytest.mark.parametrize("fn", [syt_sum, syt_sum_squares])
     def test_bad_input_raises_every_time(self, fn):
@@ -291,3 +249,32 @@ class TestSumCache:
         for _ in range(2):
             with pytest.raises(ValueError):
                 fn(5, 1)
+
+    def test_rejects_small_k(self):
+        with pytest.raises(ValueError):
+            syt_sum(4, 1)
+        with pytest.raises(ValueError):
+            syt_sum_squares(4, 1)
+
+
+class TestFrobeniusProduct:
+    def test_matches_hook_formula_through_thirty(self):
+        # [DERIVED] every shape of every n <= 30 (5 604 shapes at n = 30)
+        for n in range(1, 31):
+            for lam in partitions_of(n, n):
+                assert count_syt(lam) == hook_count(lam), lam
+
+    @pytest.mark.parametrize(
+        "parts",
+        [(1,) * 500, (2,) + (1,) * 498, (3, 2, 2) + (1,) * 300, (5,) * 3 + (2,) * 40 + (1,) * 100],
+    )
+    def test_tall_shapes_match_hook_formula(self, parts):
+        # taller than wide, so counted by the column lengths
+        lam = Partition(parts)
+        assert count_syt(lam) == hook_count(lam)
+
+    def test_remainder_raises(self, monkeypatch):
+        # (2, 2): 4! * (3 - 2) / (3! 2!) = 2; a 4! one too large leaves 25 / 12
+        monkeypatch.setattr(partitions_module, "factorial", lambda m: math.factorial(m) + (m == 4))
+        with pytest.raises(RuntimeError):
+            count_syt(Partition((2, 2)))
