@@ -4,21 +4,16 @@ Every clause of the definition is written once, in _fits, one path's step
 at one move. The search grows columns of moves with it (_successors), and
 is_admissible replays through it the paths' up_prefix tables (built when
 each path is validated), move by move. The verdict (the type, read off the
-state after move ell, or None when inadmissible) is a function of the
-sequence's value alone, so it lives in one weak table keyed by value: equal
-sequences share one verdict, and evaluation runs once per distinct value
-while any sequence of that value is alive. An entry leaves with the last
-object that keys it, so the table never outgrows the live sequences, and
-nothing is stored on the instance itself.
+state after move ell, or None when inadmissible) is evaluated on a
+sequence's first query and kept on it as _verdict, outside the dataclass
+fields as up_prefix is on a path: it takes no part in equality, hashing or
+repr, and copies and pickles carry it. The library builds one object per
+live value (paths._sequence), so each value is evaluated once while it
+lives; an equal object from the public constructor evaluates its own.
 """
-
-import weakref
 
 from latmult.partitions import Partition
 from latmult.paths import PathSequence
-
-# z -> its type, or None when inadmissible; weak in z, keyed by z's value
-_VERDICTS: weakref.WeakKeyDictionary[PathSequence, Partition | None] = weakref.WeakKeyDictionary()
 
 
 def _fits(ell: int, m: int, s: tuple[int, ...], i: int, lower: int, prev: int, room: int,
@@ -98,23 +93,23 @@ def is_admissible(z: PathSequence) -> bool:
     anti-diagonal, and every band's color tallies respect the cap against
     the previous band, the remaining budget on that color, and weak
     monotonicity toward color zero. With k = 2 only the first condition
-    applies. Evaluated once per distinct live value: an equal sequence
-    already checked supplies the verdict."""
+    applies. Evaluated once per sequence: the verdict is kept on z."""
     try:
-        verdict = _VERDICTS[z]
-    except KeyError:
-        verdict = _VERDICTS[z] = _evaluate(z)
+        verdict = z._verdict
+    except AttributeError:
+        verdict = _evaluate(z)
+        object.__setattr__(z, "_verdict", verdict)
     return verdict is not None
 
 
 def _type_of(z: PathSequence) -> Partition | None:
-    """The type of z, or None when z is inadmissible, from the verdict table;
-    only a value missing from it goes through is_admissible."""
+    """The type of z, or None when z is inadmissible, from the verdict kept
+    on z; only a sequence not yet checked goes through is_admissible."""
     try:
-        return _VERDICTS[z]
-    except KeyError:
+        return z._verdict
+    except AttributeError:
         is_admissible(z)
-        return _VERDICTS[z]
+        return z._verdict
 
 
 def _require_type(z: PathSequence) -> Partition:

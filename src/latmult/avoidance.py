@@ -65,25 +65,21 @@ def lds_length(w: Permutation) -> int:
     return len(tails)
 
 
-def _row_insert(rows: list[list[int]], x: int) -> tuple[list[int], list[int]]:
+def _row_insert(rows: list[list[int]], x: int) -> int:
     """Schensted row insertion of x into rows, in place.
 
     Each incomer bumps the smallest entry strictly greater than itself, and
-    the bumped entry carries to the next row. Returns the row that grew
-    (a new last row when x fell off the bottom) and the column of each
-    bump, one per row passed, so the grown row's index is len(bumps).
+    the bumped entry carries to the next row. Returns the index of the row
+    that grew (a new last row when x fell off the bottom).
     """
-    bumps: list[int] = []
-    for row in rows:
+    for i, row in enumerate(rows):
         idx = bisect_right(row, x)  # smallest entry strictly greater
         if idx == len(row):
             row.append(x)
-            return row, bumps
+            return i
         row[idx], x = x, row[idx]
-        bumps.append(idx)
-    grown = [x]
-    rows.append(grown)
-    return grown, bumps
+    rows.append([x])
+    return len(rows) - 1
 
 
 def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
@@ -95,8 +91,7 @@ def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for step, x in enumerate(w.word, start=1):
-        _, bumps = _row_insert(p_rows, x)
-        grown = len(bumps)
+        grown = _row_insert(p_rows, x)
         if grown == len(q_rows):
             q_rows.append([step])
         else:

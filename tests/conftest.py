@@ -41,7 +41,8 @@ def all_tableaux(ell: int, max_height: int):
 @lru_cache(maxsize=None)
 def all_admissible(ell: int, k: int):
     # move strings, not PathSequence objects: a cached sequence would stay
-    # alive all session and keep its entry in the process-wide verdict table
+    # alive all session in paths._SEQUENCES, verdict and all, so tests that
+    # count builds or evaluations would find it already built and checked
     return tuple(tuple(p.moves for p in z.paths) for z in enumerate_admissible(ell, k))
 
 

@@ -192,8 +192,9 @@ class TestSequenceType:
 
 
 class TestVerdictCache:
-    """Equal sequences share one verdict while any of them is alive; the
-    table holds them weakly and nothing is stored on the instance."""
+    """Each sequence keeps its own verdict, evaluated on its first query and
+    stored outside its fields; the library builds one object per live
+    value, so a value it built is evaluated once while it lives."""
 
     @given(nested_sequences_st())
     def test_cache_leaves_eq_hash_repr_alone(self, z):
@@ -220,48 +221,53 @@ class TestVerdictCache:
                 sequence_type(z)
         assert not is_admissible(z)
         with pytest.raises(ValueError):
-            sequence_type(PathSequence(z.paths))  # an equal fresh copy shares the verdict
+            sequence_type(PathSequence(z.paths))  # an equal fresh copy evaluates its own verdict
 
     def test_tallies_built_once_per_live_value(self, monkeypatch):
         import latmult.admissibility as admissibility
+        from latmult.paths import _sequence
 
-        built = []  # holds no sequence, so it keeps no entry alive
+        built = []  # holds no sequence, so it keeps none alive
         real = admissibility._evaluate
         monkeypatch.setattr(admissibility, "_evaluate", lambda z: built.append(z.k) or real(z))
-        z = PathSequence((LatticePath("RURRRUUURU"), LatticePath("RURRUUURRU"),
-                          LatticePath("RURRUUURRU")))
+        moves = ("RURRRUUURU", "RURRUUURRU", "RURRUUURRU")
+        z = _sequence(moves)
         assert is_admissible(z)
         assert sequence_type(z) == Partition((3, 1, 1))
         assert is_admissible(z)
         assert len(built) == 1
-        fresh = PathSequence(z.paths)
-        assert sequence_type(fresh) == Partition((3, 1, 1))
-        assert len(built) == 1  # an equal fresh object reads the live entry
-        paths = z.paths
-        del z, fresh
+        again = _sequence(moves)
+        assert again is z
+        assert sequence_type(again) == Partition((3, 1, 1))
+        assert len(built) == 1  # the library hands back the live object, verdict and all
+        assert sequence_type(PathSequence(z.paths)) == Partition((3, 1, 1))
+        assert len(built) == 2  # an equal object from the public constructor evaluates its own
+        del z, again
         gc.collect()
-        assert sequence_type(PathSequence(paths)) == Partition((3, 1, 1))
-        assert len(built) == 2  # the entry left with the last object that keyed it
+        assert sequence_type(_sequence(moves)) == Partition((3, 1, 1))
+        assert len(built) == 3  # the verdict left with the last live object
 
     def test_table_keeps_nothing_alive(self):
-        import latmult.admissibility as admissibility
-
         gc.collect()
-        before = len(admissibility._VERDICTS)
         z = PathSequence((LatticePath("RURRUURURU"), LatticePath("RURUURRURU")))
         assert sequence_type(z) == Partition((2, 2, 1))
-        assert len(admissibility._VERDICTS) == before + 1
         alive = weakref.ref(z)
         del z
         gc.collect()
         assert alive() is None
-        assert len(admissibility._VERDICTS) == before
 
     @pytest.mark.parametrize("duplicate", [copy.copy, lambda z: pickle.loads(pickle.dumps(z))],
                              ids=["copy", "pickle"])
-    def test_copies_carry_no_verdict(self, duplicate):
+    def test_copies_carry_the_verdict(self, duplicate, monkeypatch):
+        import latmult.admissibility as admissibility
+
         z = PathSequence((LatticePath("RURRUU"), LatticePath("RURRUU")))
         lam = sequence_type(z)
         twin = duplicate(z)
-        assert "_verdict" not in vars(twin)
+        del z
+        gc.collect()
+        built = []
+        real = admissibility._evaluate
+        monkeypatch.setattr(admissibility, "_evaluate", lambda w: built.append(w.k) or real(w))
         assert sequence_type(twin) == lam
+        assert built == []  # the twin answers from the verdict it carries

@@ -160,13 +160,12 @@ class TestSplitJoin:
         built = []
         real = admissibility._evaluate
         monkeypatch.setattr(admissibility, "_evaluate", lambda z: built.append(z) or real(z))
-        z = PathSequence((LatticePath("RRUURU"), LatticePath("RRUURU")))
+        z = _sequence(("RRUURU", "RRUURU"))  # a library value, as verify's are
         assert not is_self_conjugate(z)
         z1, z2 = split(z)
-        out = join(z1, z2)
-        assert out == z
-        # z and its two halves: one evaluation each; the joined copy equals z
-        # while z lives, so it reads z's verdict
+        assert join(z1, z2) is z
+        # z and its two halves: one evaluation each; join hands back the live
+        # z, which carries its verdict
         assert [id(w) for w in built] == [id(z), id(z1), id(z2)]
 
     @pytest.mark.parametrize("ell", range(1, 5))
@@ -251,11 +250,17 @@ class TestInternTable:
         assert _sequence(("RRUURU", "RURURU")) is z
 
     def test_verify_builds_each_value_once(self, monkeypatch):
-        built = []
+        import latmult.admissibility as admissibility
+
+        built, evaluated = [], []
         real = PathSequence.__post_init__
         monkeypatch.setattr(PathSequence, "__post_init__", lambda z: built.append(z.k) or real(z))
+        evaluate = admissibility._evaluate
+        monkeypatch.setattr(admissibility, "_evaluate", lambda z: evaluated.append(z.k) or evaluate(z))
         results = run_verification(5, 4)
         assert all(r.ok for r in results)
         # every sequence split, joined or sent by tau equals one the cell
         # enumerated, and that one is alive in the cell's list
         assert len(built) <= sum(syt_sum_squares(ell, k) for ell in range(1, 6) for k in range(2, 5))
+        # and each value built is evaluated once, on the object built
+        assert len(evaluated) == len(built)
