@@ -10,6 +10,23 @@ fields as up_prefix is on a path: it takes no part in equality, hashing or
 repr, and copies and pickles carry it. The library builds one object per
 live value (paths._sequence), so each value is evaluated once while it
 lives; an equal object from the public constructor evaluates its own.
+
+Sequences of one cell (ell, k) share most of their columns: whether a
+column passes depends only on (ell, m, s, ups), the move, the state before
+it and the up-counts after it, and the type only on the state after move
+ell. So _evaluate keeps two tables for the one cell it last met: each
+column met, failing ones included, to whether it passes, and each state
+after move ell to its Partition. A column is replayed through _fits once,
+on its first meeting in the cell; a type is built once per state. The
+tables hold one cell at a time because the library's work comes cell by
+cell (verify checks one, then the next) and repeats only within it: a
+sequence of another cell starts fresh tables, and that bounds them with no
+size constant. The trade is memory: the last cell's tables stay until
+another cell is evaluated, at most 2 * ell entries per sequence evaluated
+there and in practice far fewer (a verify pass over (6,5), (5,6), (5,5)
+and (4,7) meets 1 762 distinct columns in 41 562 and 293 states in 3 909
+sequences). Every entry is a pure function of its key and cell, so two
+threads that race on a table only repeat work.
 """
 
 from latmult.partitions import Partition
@@ -59,19 +76,51 @@ def _successors(ell: int, m: int, s: tuple[int, ...]) -> list[tuple[tuple[str, .
     return [(moves, counts) for moves, counts, _, _ in partial]
 
 
+# (ell, k) -> (columns, types) of the one cell last evaluated: columns maps
+# (m, s, ups) to whether that column passes _fits, types maps a state after
+# move ell to its type
+_CELL: dict[tuple[int, int], tuple[dict, dict]] = {}
+
+
+def _cell_tables(ell: int, k: int) -> tuple[dict, dict]:
+    """The column and type tables of the cell (ell, k); a new cell's
+    tables replace the last cell's."""
+    tables = _CELL.get((ell, k))
+    if tables is None:
+        _CELL.clear()
+        tables = _CELL[ell, k] = ({}, {})
+    return tables
+
+
+def _column_fits(ell: int, m: int, s: tuple[int, ...], ups: tuple[int, ...]) -> bool:
+    """Whether the column taking state s to ups at move m passes every
+    clause, replayed through _fits one path at a time."""
+    prev = room = 0
+    for i, u in enumerate(ups):
+        fit = _fits(ell, m, s, i, ups[i - 1] if i else 0, prev, room, u)
+        if fit is None:
+            return False
+        prev, room = fit
+    return True
+
+
 def _evaluate(z: PathSequence) -> Partition | None:
     """The type of z, or None when z is inadmissible: z's up-count states,
-    states[m] the paths' up-counts after move m, replayed through _fits."""
+    states[m] the paths' up-counts after move m, each column looked up in
+    the cell's table and replayed through _fits on its first meeting."""
     ell = z.ell
+    columns, types = _cell_tables(ell, z.k)
     states = list(zip(*(p.up_prefix for p in z.paths)))
-    for m, (s, ups) in enumerate(zip(states, states[1:]), 1):
-        prev = room = 0
-        for i, u in enumerate(ups):
-            fit = _fits(ell, m, s, i, ups[i - 1] if i else 0, prev, room, u)
-            if fit is None:
-                return None
-            prev, room = fit
-    return Partition(_type_parts(states[ell], ell))
+    for key in zip(range(1, 2 * ell + 1), states, states[1:]):
+        fits = columns.get(key)
+        if fits is None:
+            fits = columns[key] = _column_fits(ell, *key)
+        if not fits:
+            return None
+    lam = types.get(states[ell])
+    if lam is None:
+        lam = types[states[ell]] = Partition(_type_parts(states[ell], ell))
+    return lam
 
 
 def _type_parts(ups: tuple[int, ...] | list[int], ell: int) -> tuple[int, ...]:

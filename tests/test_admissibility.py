@@ -26,7 +26,7 @@ from latmult import (
     sequence_type,
 )
 
-from conftest import nested_sequences_st, paths_st
+from conftest import all_admissible, nested_sequences_st, paths_st
 from test_paths import boxes_weakly_below
 
 
@@ -247,7 +247,7 @@ class TestVerdictCache:
         assert sequence_type(_sequence(moves)) == Partition((3, 1, 1))
         assert len(built) == 3  # the verdict left with the last live object
 
-    def test_table_keeps_nothing_alive(self):
+    def test_verdict_keeps_nothing_alive(self):
         gc.collect()
         z = PathSequence((LatticePath("RURRUURURU"), LatticePath("RURUURRURU")))
         assert sequence_type(z) == Partition((2, 2, 1))
@@ -271,3 +271,42 @@ class TestVerdictCache:
         monkeypatch.setattr(admissibility, "_evaluate", lambda w: built.append(w.k) or real(w))
         assert sequence_type(twin) == lam
         assert built == []  # the twin answers from the verdict it carries
+
+
+class TestColumnTable:
+    """Whether a column passes every clause depends only on (ell, m, s, ups),
+    so _evaluate looks it up in the table of the one cell (ell, k) it last
+    met and replays it through _fits only on its first meeting there.
+    TestEveryNestedSequence checks the table's verdicts on whole grids."""
+
+    def test_holds_one_cell_at_a_time(self):
+        import latmult.admissibility as admissibility
+
+        for ell, k in [(5, 3), (4, 4)]:
+            for moves in all_admissible(ell, k)[:20]:  # fresh objects, so each is evaluated
+                assert is_admissible(PathSequence(tuple(map(LatticePath, moves))))
+        assert list(admissibility._CELL) == [(4, 4)]
+        columns, types = admissibility._CELL[4, 4]
+        assert columns and all(m <= 8 and len(s) == len(ups) == 3 for m, s, ups in columns)
+        assert types and all(len(s) == 3 and lam.size == 4 for s, lam in types.items())
+
+    def test_failing_column_reads_none_stored_or_not(self, monkeypatch):
+        import latmult.admissibility as admissibility
+
+        assert is_admissible(PathSequence((LatticePath("RU"),)))  # another cell: (3, 3) starts afresh
+        replayed = []
+        real = admissibility._column_fits
+        monkeypatch.setattr(admissibility, "_column_fits", lambda *a: replayed.append(a[1:]) or real(*a))
+        failing = (4, (1, 1), (1, 2))  # band 2's tally at color 1 exceeds band 1's
+        first = PathSequence((LatticePath("RURRUU"), LatticePath("RURUUR")))
+        assert not is_admissible(first)
+        assert replayed[-1] == failing  # not yet in the table: replayed, and the replay fails
+        assert admissibility._CELL[3, 3][0][failing] is False
+        second = PathSequence((LatticePath("RRURUU"), LatticePath("RRUUUR")))
+        before = len(replayed)
+        assert not is_admissible(second)
+        assert failing not in replayed[before:]  # read off the table
+        for z in (first, second):
+            assert not oracle_admissible(z)
+            with pytest.raises(ValueError):
+                sequence_type(z)

@@ -6,6 +6,8 @@ a box with upper-left corner (a, b) lies weakly below a path exactly
 when the path passes through some vertex (x, y) with x <= a and y >= b.
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -16,10 +18,15 @@ from latmult import (
     LatticePath,
     PathSequence,
     color_counts,
+    enumerate_admissible,
+    enumerate_self_conjugate,
     is_self_conjugate,
     path_leq,
     reflect,
 )
+from latmult import paths
+from latmult.paths import _sequence
+from latmult.serialize import path_from_json, sequence_from_json, sequence_to_json
 
 from conftest import nested_sequences_st, paths_st
 
@@ -198,3 +205,40 @@ class TestColorCounts:
             ColorCountTable(2, 2, ((1, 1, 1),))
         with pytest.raises(ValueError):
             ColorCountTable(2, 2, ((1, 1), (0, 1)))
+
+
+class TestPathTable:
+    """The library builds one path per live move string, as it builds one
+    sequence per live value; the public constructors build fresh ones."""
+
+    def test_library_sequences_share_paths(self):
+        seqs = enumerate_admissible(4, 4) + enumerate_self_conjugate(4, 4)
+        by_moves = {}
+        for z in seqs:
+            for p in z.paths:
+                assert by_moves.setdefault(p.moves, p) is p
+        assert len(by_moves) < sum(len(z.paths) for z in seqs)
+
+    def test_table_keeps_nothing_alive(self):
+        moves = "R" * 11 + "U" * 11
+        z = _sequence((moves, moves))
+        assert z.paths[0] is z.paths[1] is paths._PATHS[moves]
+        alive = weakref.ref(z.paths[0])
+        del z
+        gc.collect()
+        assert alive() is None
+        assert moves not in paths._PATHS
+
+    def test_public_routes_build_fresh_paths(self):
+        z = _sequence(("RRUU", "RURU"))
+        low, high = z.paths
+        read = sequence_from_json(sequence_to_json(z))
+        fresh = [
+            LatticePath("RRUU"),
+            PathSequence((LatticePath("RRUU"), LatticePath("RURU"))).paths[0],
+            reflect(low),  # RRUU is its own mirror
+            path_from_json("RRUU"),
+            read.paths[0],
+        ]
+        assert all(p == low and p is not low for p in fresh)
+        assert read.paths[1] == high and read.paths[1] is not high
