@@ -92,4 +92,4 @@ __all__ = [
     "weight_pairings",
 ]
 
-__version__ = "0.5.10"
+__version__ = "0.5.11"

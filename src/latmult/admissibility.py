@@ -1,15 +1,25 @@
 """The admissibility predicate for nested path sequences, and their type.
 
 Every clause of the definition is written once, in _fits, one path's step
-at one move. The search grows columns of moves with it (_successors), and
-is_admissible replays through it the paths' up_prefix tables (built when
-each path is validated), move by move. The verdict (the type, read off the
-state after move ell, or None when inadmissible) is evaluated on a
-sequence's first query and kept on it as _verdict, outside the dataclass
-fields as up_prefix is on a path: it takes no part in equality, hashing or
-repr, and copies and pickles carry it. The library builds one object per
-live value (paths._sequence), so each value is evaluated once while it
-lives; an equal object from the public constructor evaluates its own.
+at one move, and each clause there serves a caller that can fail it. The
+search (_successors, asked by enumeration for moves 1..ell) grows columns
+of moves with it, and is_admissible replays through it the paths'
+up_prefix tables (built when each path is validated), move by move over
+all 2 * ell moves. The anti-diagonal, the cap, the budget and monotonicity
+toward color 0 at j <= 0 decide verdicts for both; monotonicity at j > 0
+only for the replay, as the search stops at move ell. Nesting has no
+clause: the search's monotonicity fails a path that drops below its
+predecessor, and PathSequence has checked a replayed sequence nested.
+Move exhaustion bounds _successors past move ell alone, which no library
+route asks for: only the tests' full walk over 2 * ell moves does.
+
+The verdict (the type, read off the state after move ell, or None when
+inadmissible) is evaluated on a sequence's first query and kept on it as
+_verdict, outside the dataclass fields as up_prefix is on a path: it takes
+no part in equality, hashing or repr, and copies and pickles carry it. The
+library builds one object per live value (paths._sequence), so each value
+is evaluated once while it lives; an equal object from the public
+constructor evaluates its own.
 
 Sequences of one cell (ell, k) share most of their columns: whether a
 column passes depends only on (ell, m, s, ups), the move, the state before
@@ -40,17 +50,18 @@ def _fits(ell: int, m: int, s: tuple[int, ...], i: int, lower: int, prev: int, r
     Move m fixes each band's tally at color j = m - ell; prev is band i's
     and room what band i+1 may still spend there. Returns (band i+1's
     tally, room for band i+2), or None at the first failing clause. The
-    last move fixes no color, but there every tally and budget is 0."""
+    last move fixes no color, but there every tally and budget is 0.
+    The search calls it at moves 1..ell only, so the clauses at j > 0
+    serve the replay, and exhaustion the tests' full walk alone."""
     j = m - ell
-    if u > ell or m - u > ell:  # up or right moves exhausted
+    if u > ell or m - u > ell:  # moves exhausted: only _successors past move ell can fail this
         return None
     if i == 0:
         if 2 * u > m:  # first path may not cross the anti-diagonal
             return None
         t = u - max(j, 0)
         return t, ell - abs(j) - 2 * t  # band 1 counts twice in every budget
-    if u < lower:  # nesting above the previous path
-        return None
+    # nesting is implied: at moves <= ell t < 0 <= left fails monotonicity; path_leq checked a replay
     t = u - lower
     left = s[i] - s[i - 1]  # band i+1's tally at color j - 1 (0 at the first color)
     # the cap against band i, the budget, weak monotonicity toward color 0
@@ -82,16 +93,6 @@ def _successors(ell: int, m: int, s: tuple[int, ...]) -> list[tuple[tuple[str, .
 _CELL: dict[tuple[int, int], tuple[dict, dict]] = {}
 
 
-def _cell_tables(ell: int, k: int) -> tuple[dict, dict]:
-    """The column and type tables of the cell (ell, k); a new cell's
-    tables replace the last cell's."""
-    tables = _CELL.get((ell, k))
-    if tables is None:
-        _CELL.clear()
-        tables = _CELL[ell, k] = ({}, {})
-    return tables
-
-
 def _column_fits(ell: int, m: int, s: tuple[int, ...], ups: tuple[int, ...]) -> bool:
     """Whether the column taking state s to ups at move m passes every
     clause, replayed through _fits one path at a time."""
@@ -109,7 +110,11 @@ def _evaluate(z: PathSequence) -> Partition | None:
     states[m] the paths' up-counts after move m, each column looked up in
     the cell's table and replayed through _fits on its first meeting."""
     ell = z.ell
-    columns, types = _cell_tables(ell, z.k)
+    tables = _CELL.get((ell, z.k))
+    if tables is None:  # a new cell's tables replace the last cell's
+        _CELL.clear()
+        tables = _CELL[ell, z.k] = ({}, {})
+    columns, types = tables
     states = list(zip(*(p.up_prefix for p in z.paths)))
     for key in zip(range(1, 2 * ell + 1), states, states[1:]):
         fits = columns.get(key)

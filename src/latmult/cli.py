@@ -11,10 +11,13 @@ stderr line), 141 quietly when the reader closes stdout early (as SIGPIPE).
 Exit 2 for count paths --per-shape --method formula: the per-shape table
 comes from the path search alone. Only count paths takes --per-shape;
 count self-conjugate --per-shape exits 2.
-Exit 3 for count avoiders: --method rsk past ell 9, --method brute past
-ell 10; map tau past (k-1)*ell = 100 000 (TAU_GUARD_CELLS), ell the
-tableau's size; map and lds on more than 1 MiB (2**20 characters) of stdin
-(STDIN_LIMIT_CHARS).
+Exit 3 for the enumeration guard: count paths --method brute or
+--per-shape and count self-conjugate --method brute past ell 6 or k 5
+(enumeration.GUARD_ELL, GUARD_K), and verify on a grid past it, which it
+meets before the avoider and tableau guards. Exit 3 for count avoiders:
+--method rsk past ell 9, --method brute past ell 10; map tau past
+(k-1)*ell = 100 000 (TAU_GUARD_CELLS), ell the tableau's size; map and lds
+on more than 1 MiB (2**20 characters) of stdin (STDIN_LIMIT_CHARS).
 """
 
 import argparse

@@ -8,6 +8,7 @@ below a path from the path's vertices (test_paths.boxes_weakly_below).
 
 import copy
 import gc
+import inspect
 import itertools
 import pickle
 import weakref
@@ -19,6 +20,7 @@ from latmult import (
     LatticePath,
     Partition,
     PathSequence,
+    count_sequences,
     enumerate_admissible,
     is_admissible,
     path_leq,
@@ -310,3 +312,57 @@ class TestColumnTable:
             assert not oracle_admissible(z)
             with pytest.raises(ValueError):
                 sequence_type(z)
+
+
+# (clause, its text in _fits, the text that drops it, what changes, the cell)
+CLAUSE_EDITS = [
+    ("anti-diagonal", "if 2 * u > m:", "if False:", "count", (1, 2)),
+    ("cap", "t <= prev and ", "", "count", (1, 3)),
+    ("budget", "t <= room and ", "", "count", (4, 3)),
+    ("band-1-counts-twice", "ell - abs(j) - 2 * t", "ell - abs(j) - t", "count", (4, 3)),
+    ("monotonicity-up-to-color-0", "left <= t if j <= 0", "True if j <= 0", "count", (2, 3)),
+    ("monotonicity-past-color-0", "else t <= left", "else True", "verdict", (4, 3)),
+    ("move-exhaustion", "if u > ell or m - u > ell:", "if False:", "walk", (1, 2)),
+]
+
+
+class TestEveryClauseMatters:
+    """Each clause left in _fits decides an outcome of the caller it serves:
+    a copy of _fits with the clause cut from its source changes the search's
+    count, is_admissible against the box-set oracle on nested sequences, or
+    the full 2 * ell walk, at the named cell. The search stops at move ell,
+    so monotonicity at j > 0 shows only in the replay, and exhaustion only
+    in the full walk."""
+
+    @staticmethod
+    def outcome(what, ell, k):
+        if what == "count":
+            return count_sequences(ell, k)
+        if what == "verdict":  # fresh public sequences, so each is evaluated
+            return [z for z in nested_sequences(ell, k) if is_admissible(z) != oracle_admissible(z)]
+        from test_enumeration import walked_admissible  # imported here: it imports this module
+        return sorted(walked_admissible(ell, k))
+
+    @staticmethod
+    def patch_fits(monkeypatch, old, new):
+        import latmult.admissibility as admissibility
+
+        source = inspect.getsource(admissibility._fits)
+        assert source.count(old) == 1, f"_fits no longer reads {old!r}; update CLAUSE_EDITS"
+        namespace = dict(vars(admissibility))
+        exec(source.replace(old, new), namespace)
+        monkeypatch.setattr(admissibility, "_fits", namespace["_fits"])
+        monkeypatch.setattr(admissibility, "_CELL", {})  # no column verdict from the real _fits
+
+    @pytest.mark.parametrize("old, new, what, cell", [e[1:] for e in CLAUSE_EDITS],
+                             ids=[e[0] for e in CLAUSE_EDITS])
+    def test_dropping_the_clause_changes_the_outcome(self, monkeypatch, old, new, what, cell):
+        before = self.outcome(what, *cell)
+        self.patch_fits(monkeypatch, old, new)
+        assert self.outcome(what, *cell) != before
+
+    @pytest.mark.parametrize("what, cell", sorted({e[3:] for e in CLAUSE_EDITS}))
+    def test_an_unedited_copy_changes_nothing(self, monkeypatch, what, cell):
+        before = self.outcome(what, *cell)
+        self.patch_fits(monkeypatch, "return t, room - t", "return t, room - t")
+        assert self.outcome(what, *cell) == before
