@@ -19,9 +19,7 @@ from latmult.enumeration import (
 from latmult.guards import ResourceLimitError
 from latmult.partitions import (
     Partition,
-    conjugate,
     count_syt,
-    hook_lengths,
     partitions_of,
     syt_sum,
     syt_sum_squares,
@@ -61,7 +59,6 @@ __all__ = [
     "StandardTableau",
     "WeightVector",
     "color_counts",
-    "conjugate",
     "count_avoiders",
     "count_by_type",
     "count_sequences",
@@ -70,7 +67,6 @@ __all__ = [
     "enumerate_self_conjugate",
     "enumerate_syt",
     "gamma",
-    "hook_lengths",
     "is_admissible",
     "is_self_conjugate",
     "join",
@@ -92,4 +88,4 @@ __all__ = [
     "weight_pairings",
 ]
 
-__version__ = "0.5.11"
+__version__ = "0.6.0"

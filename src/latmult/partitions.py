@@ -1,10 +1,9 @@
-"""Integer partitions, hook lengths, and exact standard-filling counts.
+"""Integer partitions and exact standard-filling counts.
 
 Everything here is exact: counts are Python integers, and a quotient is
 used only once its remainder has been checked to be 0. count_syt uses
 Frobenius' product over the rows or, for a shape taller than wide, the
-columns; the hook lengths are kept as an independent description of the
-same count.
+columns.
 """
 
 from dataclasses import dataclass
@@ -68,21 +67,6 @@ def partitions_of(ell: int, max_height: int) -> list[Partition]:
         parts[i:] = [q] * (full + 1)
         if tail:
             parts.append(tail)
-
-
-def conjugate(lam: Partition) -> Partition:
-    """Column lengths of the diagram of lam."""
-    cols = tuple(sum(1 for p in lam.parts if p > j) for j in range(lam.parts[0]))
-    return Partition(cols)
-
-
-def hook_lengths(lam: Partition) -> tuple[tuple[int, ...], ...]:
-    """Hook length of every box, row-major: arm plus leg plus one."""
-    cols = conjugate(lam).parts
-    return tuple(
-        tuple(row_len + cols[j] - i - j - 1 for j in range(row_len))
-        for i, row_len in enumerate(lam.parts)
-    )
 
 
 def count_syt(lam: Partition) -> int:

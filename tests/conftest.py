@@ -1,4 +1,4 @@
-"""Shared hypothesis profile and generation helpers.
+"""Shared hypothesis profile, generation helpers and partition oracles.
 
 Strategies cache exhaustive enumerations of small objects so property tests
 sample uniformly from complete populations instead of rebuilding them.
@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, settings
 
 from latmult import (
     LatticePath,
+    Partition,
     PathSequence,
     enumerate_admissible,
     enumerate_syt,
@@ -44,6 +45,21 @@ def all_admissible(ell: int, k: int):
     # alive all session in paths._SEQUENCES, verdict and all, so tests that
     # count builds or evaluations would find it already built and checked
     return tuple(tuple(p.moves for p in z.paths) for z in enumerate_admissible(ell, k))
+
+
+def conjugate(lam: Partition) -> Partition:
+    """Oracle: the column lengths of the diagram of lam."""
+    cols = tuple(sum(1 for p in lam.parts if p > j) for j in range(lam.parts[0]))
+    return Partition(cols)
+
+
+def hook_lengths(lam: Partition) -> tuple[tuple[int, ...], ...]:
+    """Oracle: the hook length of every box, row-major: arm plus leg plus one."""
+    cols = conjugate(lam).parts
+    return tuple(
+        tuple(row_len + cols[j] - i - j - 1 for j in range(row_len))
+        for i, row_len in enumerate(lam.parts)
+    )
 
 
 @st.composite

@@ -20,7 +20,6 @@ from latmult import (
     enumerate_admissible,
     enumerate_self_conjugate,
     enumerate_syt,
-    hook_lengths,
     join,
     lds_length,
     maximal_dominant_family,
@@ -33,6 +32,8 @@ from latmult import (
     syt_sum_squares,
     tau,
 )
+
+from conftest import hook_lengths
 
 
 def report(capsys, name, ok):

@@ -1,8 +1,9 @@
-"""Partition generation, conjugation, hooks, and tableau counting.
+"""Partition generation and tableau counting, and the conjugation and hook oracles.
 
 The independent oracle for partitions_of is a brute-force composition
 filter; the oracles for count_syt are exhaustive tableau enumeration and
-the hook length formula, and the sums are checked against n! and the
+the hook length formula (conftest's conjugate and hook_lengths, checked
+here against the cell set), and the sums are checked against n! and the
 involution numbers where the height is unbounded.
 """
 
@@ -15,17 +16,15 @@ import hypothesis.strategies as st
 
 from latmult import (
     Partition,
-    conjugate,
     count_syt,
     enumerate_syt,
-    hook_lengths,
     partitions_of,
     syt_sum,
     syt_sum_squares,
 )
 
 import latmult.partitions as partitions_module
-from conftest import partitions_st
+from conftest import conjugate, hook_lengths, partitions_st
 from test_avoidance import frames_in_use
 
 
