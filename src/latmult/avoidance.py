@@ -14,13 +14,15 @@ fixed k. 'rsk' carries insertion rows instead, since what a prefix can
 still become depends only on its insertion tableau (the rows hold the used
 letters, and the next letter is row-inserted into them). So it sums
 tableaux forward, one layer per letter placed, and reads the tableau
-height; each row is a bitset of its letters, so a tableau is one tuple of
-ints. The two share no state. Each route has its own guard: 'brute' at
-ell <= BRUTE_GUARD_ELL, 'rsk' at ell <= RSK_GUARD_ELL.
+height; each row is a bitset of its letters, packed with the others into
+one int per tableau, and a child differs from its parent only in the rows
+its bump chain touched. The two share no state. Each route has its own
+guard: 'brute' at ell <= BRUTE_GUARD_ELL, 'rsk' at ell <= RSK_GUARD_ELL.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Iterator
 
 from latmult.guards import check_guard
 from latmult.partitions import _check_ell_k, syt_sum_squares
@@ -130,53 +132,76 @@ def _count_piles(ell: int, k: int, factorial: list[int]) -> int:
     return total
 
 
-def _bit_insert(rows: tuple[int, ...], x: int) -> list[int]:
-    # _row_insert on bitset rows, the letter x given as its bit: the
-    # smallest entry strictly greater than the incomer is the lowest bit of
-    # the row above it
-    grown = list(rows)
-    for r, row in enumerate(grown):
-        above = row & -(x << 1)
-        if not above:
-            grown[r] = row | x
-            return grown
-        low = above & -above
-        grown[r] = row ^ low | x
-        x = low
-    grown.append(x)
-    return grown
-
-
-def _count_words(ell: int, k: int, factorial: list[int]) -> int:
-    """Words of 1..ell with at most k insertion rows, counted over tableaux.
+def _tableau_layers(ell: int, k: int, factorial: list[int]) -> Iterator[tuple[int, dict[int, int]]]:
+    """The forward sum over insertion tableaux, one layer per letter placed.
 
     What a prefix can still become depends only on its insertion rows: the
     rows hold exactly the used letters, and the next letter is row-inserted
-    into them. So the rows are summed forward, one layer per letter placed,
-    each carrying the number of prefixes that reach them. Each row is a
-    bitset, bit x set when letter x is in it, and a state is the tuple of
-    its rows: the unused letters are the bits missing from their sum, and
-    _bit_insert builds each child as a new tuple.
+    into them. So the tableaux are summed forward, each carrying the number
+    of prefixes that reach it. A tableau is one int: row r is a bitset at
+    bits [r(ell+1), (r+1)(ell+1)), bit x of it set when letter x is in the
+    row. A state's rows are read off once; then each unused letter x runs
+    its bump chain down them, and the child is the parent's int with only
+    the rows the chain touched changed: where x bumps the least entry above
+    it, low, that row trades low for x, and where the chain ends, x is set
+    (in a new last row when it falls off the bottom). After each letter
+    placed, yields the words counted so far, r! for each prefix closed by
+    the shortcut, and the layer of tableaux still open.
     """
     total = 0
+    width = ell + 1
+    mask = (1 << width) - 1
     full = (2 << ell) - 2  # bits 1..ell
-    layer: dict[tuple[int, ...], int] = {(): 1}  # rows -> prefixes reaching them
+    layer = {0: 1}  # packed rows -> prefixes reaching them
     for left in range(ell, 0, -1):
         last = left - 1
-        below: dict[tuple[int, ...], int] = {}
-        for rows, ways in layer.items():
+        below: dict[int, int] = {}
+        get = below.get
+        for state, ways in layer.items():
+            rows = []
+            rest = state
+            while rest:
+                rows.append(rest & mask)
+                rest >>= width
+            height = len(rows)
+            top = height * width  # the shift of a new last row
+            done = ways * factorial[last]
+            same_done = height + last <= k
+            grown_done = height + 1 + last <= k
             free = full ^ sum(rows)
             while free:
                 x = free & -free
                 free ^= x
-                grown = _bit_insert(rows, x)
-                height = len(grown)
-                if height + last <= k:
-                    total += ways * factorial[last]
-                elif height <= k:
-                    key = tuple(grown)
-                    below[key] = below.get(key, 0) + ways
+                key = state
+                shift = 0
+                for row in rows:
+                    above = row & -x  # x is not in row: the entries above x
+                    if not above:
+                        break
+                    low = above & -above
+                    key ^= (low ^ x) << shift
+                    x = low
+                    shift += width
+                key |= x << shift
+                if shift == top:  # x fell off the bottom: one row more
+                    if grown_done:
+                        total += done
+                    elif height < k:
+                        below[key] = get(key, 0) + ways
+                elif same_done:
+                    total += done
+                else:
+                    below[key] = get(key, 0) + ways
         layer = below
+        yield total, layer
+
+
+def _count_words(ell: int, k: int, factorial: list[int]) -> int:
+    """Words of 1..ell with at most k insertion rows, counted over tableaux
+    by _tableau_layers; the count is its total once every letter is placed."""
+    total = 0
+    for total, _ in _tableau_layers(ell, k, factorial):
+        pass
     return total
 
 

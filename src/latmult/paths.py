@@ -13,7 +13,9 @@ as every path has taken ell + j moves. Those counts, up_prefix, are built
 when each path is validated. path_leq reads them to check nesting when a
 PathSequence is built, is_admissible replays them as its up-count states,
 and color_counts reads the whole table off them in O(ell * k); no library
-route calls it.
+route calls it. The same pass records self_conjugate, whether the path is
+its own reflection, so is_self_conjugate (and with it join's check of its
+inputs) reverses no move string.
 
 Equal sequences built by the library are one object while any of them is
 alive. The enumerators, tau, split and join get theirs from _sequence, which
@@ -60,6 +62,7 @@ class LatticePath:
         if 2 * up_prefix[-1] != n:
             raise ValueError(f"need equally many R and U moves: {self.moves!r}")
         object.__setattr__(self, "up_prefix", up_prefix)  # [m]: U moves among the first m moves
+        object.__setattr__(self, "self_conjugate", self.moves == reflected_moves(self.moves))
 
     @property
     def ell(self) -> int:
@@ -105,7 +108,7 @@ class PathSequence:
 
 def is_self_conjugate(z: PathSequence) -> bool:
     """True when every path equals its own reflection."""
-    return all(p.moves == reflected_moves(p.moves) for p in z.paths)
+    return all(p.self_conjugate for p in z.paths)
 
 
 # move strings -> the live sequence with those paths; weak in the sequence

@@ -6,7 +6,9 @@ direct standardness checks on insertion output.
 """
 
 import itertools
+import math
 import sys
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -21,7 +23,7 @@ from latmult import (
     rsk,
     syt_sum_squares,
 )
-from latmult.avoidance import _bit_insert
+from latmult.avoidance import _tableau_layers
 
 
 def oracle_lds(word):
@@ -54,28 +56,25 @@ def oracle_rsk(word):
     return tuple(map(tuple, p)), tuple(map(tuple, q))
 
 
-def oracle_uninsert(rows, r):
-    """Reverse row insertion from the last cell of row r, with linear scans.
-
-    Each outgoer moves up a row and displaces the largest entry strictly
-    smaller than itself. Returns the rows left and the letter ejected at
-    the top.
-    """
-    rows = [list(row) for row in rows]
-    x = rows[r].pop()
-    if not rows[r]:
-        rows.pop()
-    while r:
-        r -= 1
-        y = max(v for v in rows[r] if v < x)
-        rows[r][rows[r].index(y)] = x
-        x = y
-    return rows, x
+def unpack_rows(state, ell):
+    """The rows of a tableau the rsk walk packed into one int, row r at
+    bits [r(ell+1), (r+1)(ell+1)), each as its letters in order."""
+    rows = []
+    while state:
+        row = state & ((1 << ell + 1) - 1)
+        rows.append(tuple(y for y in range(1, ell + 1) if row >> y & 1))
+        state >>= ell + 1
+    return tuple(rows)
 
 
-def bitset_rows(rows):
-    """Each row as a bitset, bit y set when letter y is in it."""
-    return [sum(1 << y for y in row) for row in rows]
+def walk_fate(prefix, ell, k):
+    """What the rsk walk does with a prefix of a word of 1..ell, by the
+    height of its cell-by-cell insertion tableau: 'pruned' past k rows,
+    'done' when the r! count closes it, else 'open'."""
+    height = len(oracle_rsk(prefix)[0])
+    if height > k:
+        return "pruned"
+    return "done" if height + ell - len(prefix) <= k else "open"
 
 
 @lru_cache(maxsize=None)
@@ -179,42 +178,6 @@ class TestRsk:
         p, _ = rsk(Permutation(tuple(word)))
         assert p.shape.height == oracle_lds(word)
 
-    @given(data=st.data())
-    def test_bitset_step_matches_cell_by_cell_insertion(self, data):
-        # the rsk avoider count builds every child tableau with this one
-        # step on bitset rows, so a step that misplaced any letter would
-        # corrupt the counts that follow without failing
-        word = data.draw(perms_st(max_size=10))
-        cut = data.draw(st.integers(0, len(word) - 1))
-        x = word[data.draw(st.integers(cut, len(word) - 1))]
-        prefix = word[:cut]
-        grown = _bit_insert(tuple(bitset_rows(oracle_rsk(prefix)[0])), 1 << x)
-        assert grown == bitset_rows(oracle_rsk(prefix + [x])[0])
-
-    @pytest.mark.parametrize("letter", [int, chr], ids=["int", "chr"])
-    @given(data=st.data())
-    def test_uninsert_restores_rows_exactly(self, letter, data):
-        # the rsk avoider count grows every free letter from one shared
-        # parent and takes it back by dropping the child, so each child
-        # must be exactly one insertion away from that parent: undoing
-        # the step from the row that grew gives back the parent's rows and
-        # the letter, whether the letters are read as ints or as strings
-        word = data.draw(perms_st(max_size=8))
-        cut = data.draw(st.integers(0, len(word) - 1))
-        n = len(word)
-
-        def letters(row):
-            return [letter(y) for y in range(1, n + 1) if row >> y & 1]
-
-        parent = tuple(bitset_rows(oracle_rsk(word[:cut])[0]))
-        for x in word[cut:]:
-            child = _bit_insert(parent, 1 << x)
-            sizes = [row.bit_count() for row in parent] + [0]
-            r = next(i for i, row in enumerate(child) if row.bit_count() > sizes[i])
-            rows, ejected = oracle_uninsert([letters(row) for row in child], r)
-            assert rows == [letters(row) for row in parent]
-            assert ejected == letter(x)
-
 
 class TestCountAvoiders:
     @pytest.mark.parametrize("ell", range(1, 9))
@@ -229,6 +192,38 @@ class TestCountAvoiders:
         via_rsk = count_avoiders(ell, k, "rsk")
         formula = count_avoiders(ell, k, "formula")
         assert brute == via_rsk == formula
+
+    def test_methods_agree_at_eight_and_nine(self):
+        for ell in (8, 9):
+            for k in range(2, 11):
+                brute = count_avoiders(ell, k, "brute")
+                via_rsk = count_avoiders(ell, k, "rsk")
+                assert brute == via_rsk == count_avoiders(ell, k, "formula"), (ell, k)
+
+    def test_every_layer_matches_the_insertion_oracle(self):
+        # the rsk walk builds every child tableau by bit deltas on its
+        # parent's int, so a child with one bump misplaced would corrupt the
+        # counts that follow; each layer must hold exactly the insertion
+        # tableaux of the prefixes still open, with their multiplicities,
+        # and the running total the prefixes finished by the r! count
+        factorial = [math.factorial(r) for r in range(7)]
+        for ell in range(1, 7):
+            for k in range(2, 6):
+                total = 0
+                layers = _tableau_layers(ell, k, factorial)
+                for placed, (walk_total, layer) in enumerate(layers, start=1):
+                    prefixes = list(itertools.permutations(range(1, ell + 1), placed))
+                    fates = {w: walk_fate(w, ell, k) for w in prefixes}
+                    closed = [w for w in prefixes if fates[w] == "done"
+                              and (placed == 1 or walk_fate(w[:-1], ell, k) == "open")]
+                    total += factorial[ell - placed] * len(closed)
+                    expected = Counter(oracle_rsk(w)[0] for w in prefixes if fates[w] == "open")
+                    got = {unpack_rows(state, ell): ways for state, ways in layer.items()}
+                    assert len(got) == len(layer)
+                    assert got == expected, (ell, k, placed)
+                    assert walk_total == total, (ell, k, placed)
+                assert placed == ell
+                assert total == syt_sum_squares(ell, k)
 
     @given(st.integers(1, 7), st.integers(2, 7))
     def test_formula_is_square_sum(self, ell, k):

@@ -53,42 +53,48 @@ def run(*argv, seconds, env=None, peak_rss=False):
     )
 
 
-def stdout_of(*argv, seconds):
-    proc = run(*argv, seconds=seconds)
+def stdout_of(*argv, seconds, max_mb=None):
+    """What the process printed, once it exited 0 within `seconds` and, when
+    `max_mb` is given, peaked at no more than `max_mb` of its own RSS."""
+    proc = run(*argv, seconds=seconds, peak_rss=max_mb is not None)
     assert proc.returncode == 0, proc.stderr
+    if max_mb is not None:
+        peak_mb = int(proc.stderr.splitlines()[-1]) / 1024
+        assert peak_mb <= max_mb, f"peak RSS {peak_mb:.1f} MB"
     return proc.stdout
 
 
-def count(*argv, seconds):
+def count(*argv, seconds, max_mb=None):
     """The one integer a count route prints; empty or extra output fails."""
-    out = stdout_of(*argv, seconds=seconds)
+    out = stdout_of(*argv, seconds=seconds, max_mb=max_mb)
     assert re.fullmatch(r"\d+\n", out), repr(out)
     return int(out)
 
 
-# (quantity, ell, k, route checked against the formula, bound in seconds)
+# (quantity, ell, k, route checked against the formula, bound in seconds,
+#  bound in MB on the route's own peak RSS or None)
 ROUTES = [
-    ("paths", 8, 4, "brute", 60),
-    ("paths", 10, 4, "brute", 60),
-    ("paths", 12, 6, "brute", 60),
-    ("paths", 40, 4, "brute", 10),
-    ("self-conjugate", 8, 4, "brute", 60),
-    ("self-conjugate", 12, 6, "brute", 60),
-    ("self-conjugate", 500, 2, "brute", 10),
-    ("avoiders", 14, 4, "brute", 60),
-    ("avoiders", 10, 4, "rsk", 60),
-    ("avoiders", 11, 4, "rsk", 60),
+    ("paths", 8, 4, "brute", 60, None),
+    ("paths", 10, 4, "brute", 60, None),
+    ("paths", 12, 6, "brute", 60, None),
+    ("paths", 40, 4, "brute", 10, None),
+    ("self-conjugate", 8, 4, "brute", 60, None),
+    ("self-conjugate", 12, 6, "brute", 60, None),
+    ("self-conjugate", 500, 2, "brute", 10, None),
+    ("avoiders", 14, 4, "brute", 60, None),
+    ("avoiders", 10, 4, "rsk", 60, None),
+    ("avoiders", 11, 4, "rsk", 60, 45),
 ]
 
 
-@pytest.mark.parametrize("what, ell, k, method, seconds", ROUTES,
-                         ids=[f"{w}-{ell}-{k}-{m}" for w, ell, k, m, _ in ROUTES])
-def test_route_equals_the_formula(what, ell, k, method, seconds):
-    def by(route):
+@pytest.mark.parametrize("what, ell, k, method, seconds, max_mb", ROUTES,
+                         ids=[f"{w}-{ell}-{k}-{m}" for w, ell, k, m, *_ in ROUTES])
+def test_route_equals_the_formula(what, ell, k, method, seconds, max_mb):
+    def by(route, max_mb=None):
         return count("count", what, "--ell", ell, "--k", k, "--method", route, "--allow-large",
-                     seconds=seconds)
+                     seconds=seconds, max_mb=max_mb)
 
-    assert by(method) == by("formula")
+    assert by(method, max_mb) == by("formula")
 
 
 @pytest.mark.parametrize("ell, k, seconds", [(8, 4, 60), (20, 4, 10)], ids=["8-4", "20-4"])
@@ -116,12 +122,8 @@ VERIFY = [
                          ids=[f"{row[0]}-{row[1]}" for row in VERIFY])
 def test_verify_passes(ell_max, k_max, allow_large, seconds, max_mb, last):
     argv = ["verify", "--ell-max", ell_max, "--k-max", k_max] + ["--allow-large"] * allow_large
-    proc = run(*argv, seconds=seconds, peak_rss=max_mb is not None)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == last
-    if max_mb is not None:
-        peak_mb = int(proc.stderr.splitlines()[-1]) / 1024
-        assert peak_mb <= max_mb, f"peak RSS {peak_mb:.1f} MB"
+    out = stdout_of(*argv, seconds=seconds, max_mb=max_mb)
+    assert out.splitlines()[-1] == last
 
 
 @pytest.mark.parametrize("argv, closed_form", [

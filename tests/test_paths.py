@@ -6,6 +6,7 @@ a box with upper-left corner (a, b) lies weakly below a path exactly
 when the path passes through some vertex (x, y) with x <= a and y >= b.
 """
 
+import dataclasses
 import gc
 import weakref
 from collections import Counter
@@ -72,6 +73,15 @@ class TestLatticePath:
     def test_up_prefix_counts(self, p):
         for m in range(len(p.moves) + 1):
             assert p.up_prefix[m] == p.moves[:m].count("U")
+
+    @given(paths_st())
+    def test_derived_fields_stay_out_of_the_value(self, p):
+        # up_prefix and self_conjugate are derived once, when the path is
+        # validated; equality, hash and repr read the move string alone
+        assert p.self_conjugate == (reflect(p) == p)
+        assert [f.name for f in dataclasses.fields(p)] == ["moves"]
+        assert repr(p) == f"LatticePath(moves={p.moves!r})"
+        assert hash(p) == hash(LatticePath(p.moves))
 
     def test_ends_at_origin_corner(self):
         p = LatticePath("RURRUU")
