@@ -132,7 +132,9 @@ def _count_piles(ell: int, k: int, factorial: list[int]) -> int:
     return total
 
 
-def _tableau_layers(ell: int, k: int, factorial: list[int]) -> Iterator[tuple[int, dict[int, int]]]:
+def _tableau_layers(
+    ell: int, k: int, factorial: list[int], start: int = 0
+) -> Iterator[tuple[int, dict[int, int]]]:
     """The forward sum over insertion tableaux, one layer per letter placed.
 
     What a prefix can still become depends only on its insertion rows: the
@@ -146,14 +148,16 @@ def _tableau_layers(ell: int, k: int, factorial: list[int]) -> Iterator[tuple[in
     it, low, that row trades low for x, and where the chain ends, x is set
     (in a new last row when it falls off the bottom). After each letter
     placed, yields the words counted so far, r! for each prefix closed by
-    the shortcut, and the layer of tableaux still open.
+    the shortcut, and the layer of tableaux still open. The walk grows from
+    the packed tableau start, the empty one unless given, and places the
+    letters start lacks.
     """
     total = 0
     width = ell + 1
     mask = (1 << width) - 1
     full = (2 << ell) - 2  # bits 1..ell
-    layer = {0: 1}  # packed rows -> prefixes reaching them
-    for left in range(ell, 0, -1):
+    layer = {start: 1}  # packed rows -> prefixes reaching them
+    for left in range(ell - start.bit_count(), 0, -1):
         last = left - 1
         below: dict[int, int] = {}
         get = below.get

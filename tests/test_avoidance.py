@@ -56,6 +56,43 @@ def oracle_rsk(word):
     return tuple(map(tuple, p)), tuple(map(tuple, q))
 
 
+def oracle_uninsert(rows, r):
+    """Reverse row insertion from the last cell of row r, with linear scans.
+
+    Each outgoer moves up a row and displaces the largest entry strictly
+    smaller than itself. Returns the rows left and the letter ejected at
+    the top.
+    """
+    rows = [list(row) for row in rows]
+    x = rows[r].pop()
+    if not rows[r]:
+        rows.pop()
+    while r:
+        r -= 1
+        y = max(v for v in rows[r] if v < x)
+        rows[r][rows[r].index(y)] = x
+        x = y
+    return rows, x
+
+
+def pack_rows(rows, ell):
+    """A tableau's rows packed as the rsk walk keys them: row r's bitset,
+    bit y set when letter y is in it, at bits [r(ell+1), (r+1)(ell+1))."""
+    return sum(sum(1 << y for y in row) << r * (ell + 1) for r, row in enumerate(rows))
+
+
+def walk_children(prefix, ell):
+    """The first layer of the rsk walk grown from the insertion tableau of a
+    prefix of a word of 1..ell, at least three letters short of ell. With k
+    one row above the prefix's tableau, no child is pruned or closed by the
+    r! count, so the layer holds every child the walk's step builds."""
+    rows = oracle_rsk(prefix)[0]
+    factorial = [math.factorial(r) for r in range(ell + 1)]
+    total, layer = next(_tableau_layers(ell, len(rows) + 1, factorial, pack_rows(rows, ell)))
+    assert total == 0
+    return layer
+
+
 def unpack_rows(state, ell):
     """The rows of a tableau the rsk walk packed into one int, row r at
     bits [r(ell+1), (r+1)(ell+1)), each as its letters in order."""
@@ -177,6 +214,45 @@ class TestRsk:
         # height of the insertion tableau equals the longest decrease
         p, _ = rsk(Permutation(tuple(word)))
         assert p.shape.height == oracle_lds(word)
+
+    @given(data=st.data())
+    def test_bitset_step_matches_cell_by_cell_insertion(self, data):
+        # the rsk avoider count builds every child tableau by bit deltas on
+        # its parent's int, so a step that misplaced any letter would
+        # corrupt the counts that follow without failing: grown from one
+        # prefix's tableau, the walk's first layer holds each unused
+        # letter's insertion tableau once
+        n = data.draw(st.integers(3, 10))
+        word = data.draw(st.permutations(range(1, n + 1)))
+        prefix = word[:data.draw(st.integers(0, n - 3))]
+        expected = {pack_rows(oracle_rsk(prefix + [x])[0], n): 1 for x in word[len(prefix):]}
+        assert walk_children(prefix, n) == expected
+
+    @pytest.mark.parametrize("letter", [int, chr], ids=["int", "chr"])
+    @given(data=st.data())
+    def test_uninsert_restores_rows_exactly(self, letter, data):
+        # the rsk avoider count grows every free letter from one shared
+        # parent, so each child must be exactly one insertion away from
+        # that parent: undoing the step from the row that grew gives back
+        # the parent's rows and a letter, each unused letter once, whether
+        # the letters are read as ints or as strings
+        n = data.draw(st.integers(3, 8))
+        word = data.draw(st.permutations(range(1, n + 1)))
+        prefix = word[:data.draw(st.integers(0, n - 3))]
+
+        def letters(rows):
+            return [[letter(y) for y in row] for row in rows]
+
+        parent = oracle_rsk(prefix)[0]
+        sizes = [len(row) for row in parent] + [0]
+        ejected = []
+        for child in walk_children(prefix, n):
+            rows = unpack_rows(child, n)
+            r = next(i for i, row in enumerate(rows) if len(row) > sizes[i])
+            back, x = oracle_uninsert(letters(rows), r)
+            assert back == letters(parent)
+            ejected.append(x)
+        assert sorted(ejected) == sorted(letter(x) for x in word[len(prefix):])
 
 
 class TestCountAvoiders:
