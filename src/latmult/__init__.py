@@ -88,4 +88,4 @@ __all__ = [
     "weight_pairings",
 ]
 
-__version__ = "0.6.1"
+__version__ = "0.6.2"

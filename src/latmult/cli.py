@@ -18,6 +18,9 @@ meets before the avoider and tableau guards. Exit 3 for count avoiders:
 --method rsk past ell 9, --method brute past ell 10; map tau past
 (k-1)*ell = 100 000 (TAU_GUARD_CELLS), ell the tableau's size; map and lds
 on more than 1 MiB (2**20 characters) of stdin (STDIN_LIMIT_CHARS).
+
+Each call builds every verb, but gives options only to the verbs whose names
+its argv holds as tokens, the only verbs argparse can dispatch to.
 """
 
 import argparse
@@ -64,7 +67,15 @@ def _add_common(p: argparse.ArgumentParser, default_format: str) -> None:
                    help="override resource guards")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv: every verb with its help and defaults, and the
+    options of each verb whose names all appear as tokens of argv. Without
+    argv, every verb's options: the full parser."""
+    tokens = None if argv is None else set(argv)
+
+    def named(*names) -> bool:
+        return tokens is None or tokens.issuperset(names)
+
     parser = argparse.ArgumentParser(
         prog="latmult",
         description="Exact counts of nested lattice path families, standard tableaux, "
@@ -80,10 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="total standard tableaux with bounded height",
         epilog="TSV columns with --per-shape: lambda, f; a final 'total' row closes the table.",
     )
-    tab.add_argument("--ell", type=int, required=True, help="number of cells")
-    tab.add_argument("--max-height", type=int, required=True, help="height bound (>= 2)")
-    tab.add_argument("--per-shape", action="store_true", help="one output row per partition")
-    _add_common(tab, "tsv")
+    if named("count", "tableaux"):
+        tab.add_argument("--ell", type=int, required=True, help="number of cells")
+        tab.add_argument("--max-height", type=int, required=True, help="height bound (>= 2)")
+        tab.add_argument("--per-shape", action="store_true", help="one output row per partition")
+        _add_common(tab, "tsv")
     tab.set_defaults(handler=cmd_count_tableaux)
 
     per_shape_columns = ("TSV columns with --per-shape: "
@@ -93,47 +105,53 @@ def build_parser() -> argparse.ArgumentParser:
         ("self-conjugate", "reflection-fixed admissible sequences", True, None),
     ):
         verb = what.add_parser(name, help=summary, epilog=epilog)
-        verb.add_argument("--ell", type=int, required=True, help="square size")
-        verb.add_argument("--k", type=int, required=True, help="one more than the path count")
-        verb.add_argument("--method", choices=["brute", "formula"], default=None)
-        if not self_conjugate:
-            verb.add_argument("--per-shape", action="store_true",
-                              help="per-type table with formula and enumeration columns")
-        _add_common(verb, "tsv")
+        if named("count", name):
+            verb.add_argument("--ell", type=int, required=True, help="square size")
+            verb.add_argument("--k", type=int, required=True, help="one more than the path count")
+            verb.add_argument("--method", choices=["brute", "formula"], default=None)
+            if not self_conjugate:
+                verb.add_argument("--per-shape", action="store_true",
+                                  help="per-type table with formula and enumeration columns")
+            _add_common(verb, "tsv")
         verb.set_defaults(handler=cmd_count_paths, self_conjugate=self_conjugate, per_shape=False)
 
     avoid = what.add_parser("avoiders", help="permutations with bounded decreasing runs")
-    avoid.add_argument("--ell", type=int, required=True, help="word length")
-    avoid.add_argument("--k", type=int, required=True, help="longest allowed decreasing run")
-    avoid.add_argument("--method", choices=["brute", "rsk", "formula"], default="formula")
-    _add_common(avoid, "tsv")
+    if named("count", "avoiders"):
+        avoid.add_argument("--ell", type=int, required=True, help="word length")
+        avoid.add_argument("--k", type=int, required=True, help="longest allowed decreasing run")
+        avoid.add_argument("--method", choices=["brute", "rsk", "formula"], default="formula")
+        _add_common(avoid, "tsv")
     avoid.set_defaults(handler=cmd_count_avoiders)
 
     mult = sub.add_parser("mult", help="maximal dominant weight multiplicity")
-    mult.add_argument("--n", type=int, required=True, help="rank parameter (>= 2)")
-    mult.add_argument("--k", type=int, required=True, help="level (>= 2)")
-    mult.add_argument("--ell", type=int, required=True, help="family index, 1..floor(n/2)")
-    _add_common(mult, "json")
+    if named("mult"):
+        mult.add_argument("--n", type=int, required=True, help="rank parameter (>= 2)")
+        mult.add_argument("--k", type=int, required=True, help="level (>= 2)")
+        mult.add_argument("--ell", type=int, required=True, help="family index, 1..floor(n/2)")
+        _add_common(mult, "json")
     mult.set_defaults(handler=cmd_mult)
 
     mapping = sub.add_parser("map", help="apply a bijection to JSON read from stdin")
-    mapping.add_argument("direction", choices=["tau", "sigma"],
-                         help="tau: tableau to path sequence; sigma: the inverse")
-    mapping.add_argument("--k", type=int, default=None,
-                         help="path count parameter for tau (default: tableau height, min 2)")
-    _add_common(mapping, "json")
+    if named("map"):
+        mapping.add_argument("direction", choices=["tau", "sigma"],
+                             help="tau: tableau to path sequence; sigma: the inverse")
+        mapping.add_argument("--k", type=int, default=None,
+                             help="path count parameter for tau (default: tableau height, min 2)")
+        _add_common(mapping, "json")
     mapping.set_defaults(handler=cmd_map)
 
     lds = sub.add_parser("lds", help="longest decreasing subsequence of a one-line word")
-    lds.add_argument("word", nargs="?", default=None,
-                     help="digits, e.g. 26873415 (read from stdin when omitted)")
-    _add_common(lds, "tsv")
+    if named("lds"):
+        lds.add_argument("word", nargs="?", default=None,
+                         help="digits, e.g. 26873415 (read from stdin when omitted)")
+        _add_common(lds, "tsv")
     lds.set_defaults(handler=cmd_lds)
 
     ver = sub.add_parser("verify", help="run the cross-check suite over an (ell, k) grid")
-    ver.add_argument("--ell-max", type=int, required=True)
-    ver.add_argument("--k-max", type=int, required=True)
-    _add_common(ver, "tsv")
+    if named("verify"):
+        ver.add_argument("--ell-max", type=int, required=True)
+        ver.add_argument("--k-max", type=int, required=True)
+        _add_common(ver, "tsv")
     ver.set_defaults(handler=cmd_verify)
 
     return parser
@@ -268,7 +286,9 @@ def cmd_verify(args) -> Output:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for a usage error

@@ -1,5 +1,6 @@
 """Command line surface: verbs, formats, exit codes, and error reporting."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from latmult import cli, syt_sum, syt_sum_squares
 from latmult.cli import (
@@ -700,11 +701,59 @@ VERB_OPTIONS = {
     "count avoiders": ["--ell", "--k", "--method"],
     "mult": ["--n", "--k", "--ell"],
     "map tau": ["--k"],
-    "map sigma": [],
+    "map sigma": ["--k"],
     "lds": ["word"],
     "verify": ["--ell-max", "--k-max"],
 }
 ALL_OPTIONS = sorted({flag for flags in VERB_OPTIONS.values() for flag in flags} - {"word"})
+SHARED_OPTIONS = {"-h", "--help", "--format", "--allow-large"}
+
+
+def _verbs_action(parser):
+    """parser's subcommand action, or None on a verb that takes no subcommand."""
+    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+
+
+def _dispatched(parser, names):
+    """The parser argparse hands names to; map's direction is a value of map."""
+    for name in names:
+        verbs = _verbs_action(parser)
+        if verbs is None:
+            break
+        parser = verbs.choices[name]
+    return parser
+
+
+def _leaf_verbs(parser, names=()):
+    """Each verb under parser with its own options, as in VERB_OPTIONS: a
+    positional with choices (map's direction) is part of the verb's name."""
+    verbs = _verbs_action(parser)
+    if verbs is not None:
+        for name, child in verbs.choices.items():
+            yield from _leaf_verbs(child, names + (name,))
+        return
+    named_by = [a for a in parser._actions if not a.option_strings and a.choices]
+    options = [flag for a in parser._actions if a not in named_by
+               for flag in a.option_strings or [a.dest] if flag not in SHARED_OPTIONS]
+    for value in named_by[0].choices if named_by else [None]:
+        yield " ".join(names + ((value,) if value else ())), options
+
+
+def test_verb_options_is_the_full_parsers_table():
+    # the argv property tests draw from VERB_OPTIONS, so a stale entry
+    # would quietly stop them reaching a verb or an option
+    assert dict(_leaf_verbs(cli.build_parser())) == VERB_OPTIONS
+
+
+@pytest.mark.parametrize("names", [(), ("count",), ("map",)]
+                         + [tuple(verb.split()) for verb in VERB_OPTIONS],
+                         ids=lambda names: " ".join(names) or "root")
+def test_help_matches_the_full_parser(capsysbinary, monkeypatch, names):
+    # main's parser gives options only to the verbs its argv names
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([*names, "--help"]) == EXIT_OK
+    want = _dispatched(cli.build_parser(), names).format_help()
+    assert capsysbinary.readouterr().out == want.encode()
 
 
 @st.composite
@@ -764,18 +813,18 @@ class TestExitCodeContract:
 
     @staticmethod
     def run(argv, stdin):
-        """main's exit code and stdout."""
+        """main's exit code, stdout and stderr."""
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sys, "stdin", io.StringIO(stdin))
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-        return code, out.getvalue()
+        return code, out.getvalue(), err.getvalue()
 
     @settings(max_examples=200)
     @given(argv_st(), STDIN_ST)
     def test_any_argv_and_stdin(self, argv, stdin):
-        code, out = self.run(argv, stdin)
+        code, out, _ = self.run(argv, stdin)
         assert code in {EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_GUARD, EXIT_INTERNAL}
         if code not in (EXIT_OK, EXIT_VERIFY_FAILED):
             assert out == ""
@@ -787,10 +836,27 @@ class TestExitCodeContract:
     def test_same_request_same_answer(self, argv, stdin):
         # the path search visits in no fixed order, so no verb's output may
         # depend on the order in which it sees things
-        code, out = self.run(argv, stdin)
-        again, out_again = self.run(argv, stdin)
+        code, out, _ = self.run(argv, stdin)
+        again, out_again, _ = self.run(argv, stdin)
         assert again == code
         assert out_again.encode() == out.encode()
+
+    @settings(max_examples=200)
+    @given(argv_st(), STDIN_ST)
+    # values and stray tokens that happen to be verb names
+    @example(["map", "tau", "--k", "count"], "[[1]]")
+    @example(["lds", "verify"], "")
+    @example(["count", "paths", "--ell", "3", "--k", "mult"], "")
+    @example(["mult", "count", "paths", "--n", "4"], "")
+    @example(["--", "count", "tableaux", "--ell", "3", "--max-height", "2"], "")
+    def test_full_parser_gives_the_same_run(self, argv, stdin):
+        # main gives options only to the verbs argv names; a parser with
+        # every verb's options must not change a byte of the outcome
+        full = cli.build_parser
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "build_parser", lambda argv: full())
+            want = self.run(argv, stdin)
+        assert self.run(argv, stdin) == want
 
 
 class TestInstalledEntryPoints:
