@@ -286,8 +286,8 @@ def cmd_verify(args) -> Output:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    # one list, so an iterator serves both build_parser and parse_args
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)

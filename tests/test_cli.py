@@ -756,6 +756,17 @@ def test_help_matches_the_full_parser(capsysbinary, monkeypatch, names):
     assert capsysbinary.readouterr().out == want.encode()
 
 
+@pytest.mark.parametrize("wrap", [tuple, iter], ids=["tuple", "iterator"])
+def test_argv_may_be_any_iterable(capsys, wrap):
+    # build_parser and parse_args must both see every token, even of an
+    # iterator that can be read only once
+    argv = ["lds", "312", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    want = capsys.readouterr()
+    assert main(wrap(argv)) == EXIT_OK
+    assert capsys.readouterr() == want
+
+
 @st.composite
 def argv_st(draw):
     """A real verb, whole or cut short, with most of its own options and
