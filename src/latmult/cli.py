@@ -10,7 +10,8 @@ Exit codes: 0 success (verify: all checks passed), 1 verification failure,
 stderr line), 141 quietly when the reader closes stdout early (as SIGPIPE).
 Exit 2 for count paths --per-shape --method formula: the per-shape table
 comes from the path search alone. Only count paths takes --per-shape;
-count self-conjugate --per-shape exits 2.
+count self-conjugate --per-shape exits 2. Only map tau takes --k; map
+sigma --k exits 2 before reading stdin.
 Exit 3 for the enumeration guard: count paths --method brute or
 --per-shape and count self-conjugate --method brute past ell 6 or k 5
 (enumeration.GUARD_ELL, GUARD_K), and verify on a grid past it, which it
@@ -19,8 +20,11 @@ meets before the avoider and tableau guards. Exit 3 for count avoiders:
 (k-1)*ell = 100 000 (TAU_GUARD_CELLS), ell the tableau's size; map and lds
 on more than 1 MiB (2**20 characters) of stdin (STDIN_LIMIT_CHARS).
 
-Each call builds every verb, but gives options only to the verbs whose names
-its argv holds as tokens, the only verbs argparse can dispatch to.
+build_parser declares each verb once, as one row of a table, and builds
+every verb; it gives options only to the verbs whose names argv holds as
+tokens, the only verbs argparse can dispatch to. The table is built per
+call, so a rebound cmd_* handler (as perfbench's tracer installs) is the
+one main dispatches to.
 """
 
 import argparse
@@ -60,100 +64,69 @@ Output = tuple[int, object, list]
 PER_SHAPE_COLUMNS = ("f", "f_squared", "brute_admissible", "brute_self_conjugate")
 
 
-def _add_common(p: argparse.ArgumentParser, default_format: str) -> None:
-    p.add_argument("--format", choices=["json", "tsv"], default=default_format,
-                   help="output format (default depends on the command)")
-    p.add_argument("--allow-large", action="store_true",
-                   help="override resource guards")
-
-
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser for argv: every verb with its help and defaults, and the
     options of each verb whose names all appear as tokens of argv. Without
     argv, every verb's options: the full parser."""
     tokens = None if argv is None else set(argv)
-
-    def named(*names) -> bool:
-        return tokens is None or tokens.issuperset(names)
-
     parser = argparse.ArgumentParser(
         prog="latmult",
         description="Exact counts of nested lattice path families, standard tableaux, "
                     "pattern-avoiding permutations, and matching affine weight multiplicities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     count = sub.add_parser("count", help="exact counting commands")
     what = count.add_subparsers(dest="what", required=True)
 
-    tab = what.add_parser(
-        "tableaux",
-        help="total standard tableaux with bounded height",
-        epilog="TSV columns with --per-shape: lambda, f; a final 'total' row closes the table.",
-    )
-    if named("count", "tableaux"):
-        tab.add_argument("--ell", type=int, required=True, help="number of cells")
-        tab.add_argument("--max-height", type=int, required=True, help="height bound (>= 2)")
-        tab.add_argument("--per-shape", action="store_true", help="one output row per partition")
-        _add_common(tab, "tsv")
-    tab.set_defaults(handler=cmd_count_tableaux)
+    def number(flag, help=None):  # a required integer option
+        return flag, {"type": int, "required": True, "help": help}
 
-    per_shape_columns = ("TSV columns with --per-shape: "
-                         f"{', '.join(('lambda',) + PER_SHAPE_COLUMNS)}.")
-    for name, summary, self_conjugate, epilog in (
-        ("paths", "admissible nested path sequences", False, per_shape_columns),
-        ("self-conjugate", "reflection-fixed admissible sequences", True, None),
+    square = [number("--ell", "square size"), number("--k", "one more than the path count"),
+              ("--method", {"choices": ["brute", "formula"], "default": None})]
+    # One row per verb, built per call so that main dispatches to whatever
+    # cmd_* is bound when it runs: names, help, epilog, default --format,
+    # handler, fixed defaults, and the verb's own options in order.
+    for names, summary, epilog, default_format, handler, fixed, options in (
+        (("count", "tableaux"), "total standard tableaux with bounded height",
+         "TSV columns with --per-shape: lambda, f; a final 'total' row closes the table.",
+         "tsv", cmd_count_tableaux, {},
+         [number("--ell", "number of cells"), number("--max-height", "height bound (>= 2)"),
+          ("--per-shape", {"action": "store_true", "help": "one output row per partition"})]),
+        (("count", "paths"), "admissible nested path sequences",
+         f"TSV columns with --per-shape: {', '.join(('lambda',) + PER_SHAPE_COLUMNS)}.",
+         "tsv", cmd_count_paths, {"self_conjugate": False, "per_shape": False},
+         square + [("--per-shape", {"action": "store_true", "help":
+                                    "per-type table with formula and enumeration columns"})]),
+        (("count", "self-conjugate"), "reflection-fixed admissible sequences", None,
+         "tsv", cmd_count_paths, {"self_conjugate": True, "per_shape": False}, square),
+        (("count", "avoiders"), "permutations with bounded decreasing runs", None,
+         "tsv", cmd_count_avoiders, {},
+         [number("--ell", "word length"), number("--k", "longest allowed decreasing run"),
+          ("--method", {"choices": ["brute", "rsk", "formula"], "default": "formula"})]),
+        (("mult",), "maximal dominant weight multiplicity", None, "json", cmd_mult, {},
+         [number("--n", "rank parameter (>= 2)"), number("--k", "level (>= 2)"),
+          number("--ell", "family index, 1..floor(n/2)")]),
+        (("map",), "apply a bijection to JSON read from stdin", None, "json", cmd_map, {},
+         [("direction", {"choices": ["tau", "sigma"],
+                         "help": "tau: tableau to path sequence; sigma: the inverse"}),
+          ("--k", {"type": int, "default": None,
+                   "help": "path count parameter for tau (default: tableau height, min 2)"})]),
+        (("lds",), "longest decreasing subsequence of a one-line word", None, "tsv", cmd_lds, {},
+         [("word", {"nargs": "?", "default": None,
+                    "help": "digits, e.g. 26873415 (read from stdin when omitted)"})]),
+        (("verify",), "run the cross-check suite over an (ell, k) grid", None, "tsv", cmd_verify,
+         {}, [number("--ell-max"), number("--k-max")]),
     ):
-        verb = what.add_parser(name, help=summary, epilog=epilog)
-        if named("count", name):
-            verb.add_argument("--ell", type=int, required=True, help="square size")
-            verb.add_argument("--k", type=int, required=True, help="one more than the path count")
-            verb.add_argument("--method", choices=["brute", "formula"], default=None)
-            if not self_conjugate:
-                verb.add_argument("--per-shape", action="store_true",
-                                  help="per-type table with formula and enumeration columns")
-            _add_common(verb, "tsv")
-        verb.set_defaults(handler=cmd_count_paths, self_conjugate=self_conjugate, per_shape=False)
-
-    avoid = what.add_parser("avoiders", help="permutations with bounded decreasing runs")
-    if named("count", "avoiders"):
-        avoid.add_argument("--ell", type=int, required=True, help="word length")
-        avoid.add_argument("--k", type=int, required=True, help="longest allowed decreasing run")
-        avoid.add_argument("--method", choices=["brute", "rsk", "formula"], default="formula")
-        _add_common(avoid, "tsv")
-    avoid.set_defaults(handler=cmd_count_avoiders)
-
-    mult = sub.add_parser("mult", help="maximal dominant weight multiplicity")
-    if named("mult"):
-        mult.add_argument("--n", type=int, required=True, help="rank parameter (>= 2)")
-        mult.add_argument("--k", type=int, required=True, help="level (>= 2)")
-        mult.add_argument("--ell", type=int, required=True, help="family index, 1..floor(n/2)")
-        _add_common(mult, "json")
-    mult.set_defaults(handler=cmd_mult)
-
-    mapping = sub.add_parser("map", help="apply a bijection to JSON read from stdin")
-    if named("map"):
-        mapping.add_argument("direction", choices=["tau", "sigma"],
-                             help="tau: tableau to path sequence; sigma: the inverse")
-        mapping.add_argument("--k", type=int, default=None,
-                             help="path count parameter for tau (default: tableau height, min 2)")
-        _add_common(mapping, "json")
-    mapping.set_defaults(handler=cmd_map)
-
-    lds = sub.add_parser("lds", help="longest decreasing subsequence of a one-line word")
-    if named("lds"):
-        lds.add_argument("word", nargs="?", default=None,
-                         help="digits, e.g. 26873415 (read from stdin when omitted)")
-        _add_common(lds, "tsv")
-    lds.set_defaults(handler=cmd_lds)
-
-    ver = sub.add_parser("verify", help="run the cross-check suite over an (ell, k) grid")
-    if named("verify"):
-        ver.add_argument("--ell-max", type=int, required=True)
-        ver.add_argument("--k-max", type=int, required=True)
-        _add_common(ver, "tsv")
-    ver.set_defaults(handler=cmd_verify)
-
+        verb = (what if names[0] == "count" else sub).add_parser(
+            names[-1], help=summary, epilog=epilog)
+        if tokens is None or tokens.issuperset(names):
+            for flag, kwargs in options + [
+                ("--format", {"choices": ["json", "tsv"], "default": default_format,
+                              "help": "output format (default depends on the command)"}),
+                ("--allow-large", {"action": "store_true", "help": "override resource guards"}),
+            ]:
+                verb.add_argument(flag, **kwargs)
+        verb.set_defaults(handler=handler, **fixed)
     return parser
 
 
@@ -245,6 +218,8 @@ def _read_stdin(args) -> str:
 
 
 def cmd_map(args) -> Output:
+    if args.direction == "sigma" and args.k is not None:
+        raise ValueError("--k is for map tau only")
     payload = json.loads(_read_stdin(args))
     if args.direction == "tau":
         x = serialize.tableau_from_json(payload)

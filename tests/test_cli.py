@@ -280,10 +280,11 @@ def test_golden_stdout(capsysbinary, monkeypatch, argv, stdin, code, out):
     assert capsysbinary.readouterr().out == out
 
 
-# Exact --help of the two path-count verbs, at a fixed 80-column width; only
-# count paths takes --per-shape and lists its columns in the epilog.
+# Exact --help at a fixed 80-column width of the root, each group and each
+# verb, keyed by the words before --help; only count paths takes --per-shape
+# and lists its columns in the epilog.
 HELP_GOLDEN = {
-    "paths": (
+    "count paths": (
         b'usage: latmult count paths [-h] --ell ELL --k K [--method {brute,formula}]\n'
         b'                           [--per-shape] [--format {json,tsv}] [--allow-large]\n'
         b'\n'
@@ -299,7 +300,7 @@ HELP_GOLDEN = {
         b'TSV columns with --per-shape: lambda, f, f_squared, brute_admissible,\n'
         b'brute_self_conjugate.\n'
     ),
-    "self-conjugate": (
+    "count self-conjugate": (
         b'usage: latmult count self-conjugate [-h] --ell ELL --k K\n'
         b'                                    [--method {brute,formula}]\n'
         b'                                    [--format {json,tsv}] [--allow-large]\n'
@@ -312,14 +313,192 @@ HELP_GOLDEN = {
         b'  --format {json,tsv}   output format (default depends on the command)\n'
         b'  --allow-large         override resource guards\n'
     ),
+    "": (
+        b'usage: latmult [-h] {count,mult,map,lds,verify} ...\n'
+        b'\n'
+        b'Exact counts of nested lattice path families, standard tableaux, pattern-\n'
+        b'avoiding permutations, and matching affine weight multiplicities.\n'
+        b'\n'
+        b'positional arguments:\n'
+        b'  {count,mult,map,lds,verify}\n'
+        b'    count               exact counting commands\n'
+        b'    mult                maximal dominant weight multiplicity\n'
+        b'    map                 apply a bijection to JSON read from stdin\n'
+        b'    lds                 longest decreasing subsequence of a one-line word\n'
+        b'    verify              run the cross-check suite over an (ell, k) grid\n'
+        b'\n'
+        b'options:\n'
+        b'  -h, --help            show this help message and exit\n'
+    ),
+    "count": (
+        b'usage: latmult count [-h] {tableaux,paths,self-conjugate,avoiders} ...\n'
+        b'\n'
+        b'positional arguments:\n'
+        b'  {tableaux,paths,self-conjugate,avoiders}\n'
+        b'    tableaux            total standard tableaux with bounded height\n'
+        b'    paths               admissible nested path sequences\n'
+        b'    self-conjugate      reflection-fixed admissible sequences\n'
+        b'    avoiders            permutations with bounded decreasing runs\n'
+        b'\n'
+        b'options:\n'
+        b'  -h, --help            show this help message and exit\n'
+    ),
+    "map": (
+        b'usage: latmult map [-h] [--k K] [--format {json,tsv}] [--allow-large]\n'
+        b'                   {tau,sigma}\n'
+        b'\n'
+        b'positional arguments:\n'
+        b'  {tau,sigma}          tau: tableau to path sequence; sigma: the inverse\n'
+        b'\n'
+        b'options:\n'
+        b'  -h, --help           show this help message and exit\n'
+        b'  --k K                path count parameter for tau (default: tableau height,\n'
+        b'                       min 2)\n'
+        b'  --format {json,tsv}  output format (default depends on the command)\n'
+        b'  --allow-large        override resource guards\n'
+    ),
+    "count tableaux": (
+        b'usage: latmult count tableaux [-h] --ell ELL --max-height MAX_HEIGHT\n'
+        b'                              [--per-shape] [--format {json,tsv}]\n'
+        b'                              [--allow-large]\n'
+        b'\n'
+        b'options:\n'
+        b'  -h, --help            show this help message and exit\n'
+        b'  --ell ELL             number of cells\n'
+        b'  --max-height MAX_HEIGHT\n'
+        b'                        height bound (>= 2)\n'
+        b'  --per-shape           one output row per partition\n'
+        b'  --format {json,tsv}   output format (default depends on the command)\n'
+        b'  --allow-large         override resource guards\n'
+        b'\n'
+        b"TSV columns with --per-shape: lambda, f; a final 'total' row closes the table.\n"
+    ),
+    "count avoiders": (
+        b'usage: latmult count avoiders [-h] --ell ELL --k K\n'
+        b'                              [--method {brute,rsk,formula}]\n'
+        b'                              [--format {json,tsv}] [--allow-large]\n'
+        b'\n'
+        b'options:\n'
+        b'  -h, --help            show this help message and exit\n'
+        b'  --ell ELL             word length\n'
+        b'  --k K                 longest allowed decreasing run\n'
+        b'  --method {brute,rsk,formula}\n'
+        b'  --format {json,tsv}   output format (default depends on the command)\n'
+        b'  --allow-large         override resource guards\n'
+    ),
+    "mult": (
+        b'usage: latmult mult [-h] --n N --k K --ell ELL [--format {json,tsv}]\n'
+        b'                    [--allow-large]\n'
+        b'\n'
+        b'options:\n'
+        b'  -h, --help           show this help message and exit\n'
+        b'  --n N                rank parameter (>= 2)\n'
+        b'  --k K                level (>= 2)\n'
+        b'  --ell ELL            family index, 1..floor(n/2)\n'
+        b'  --format {json,tsv}  output format (default depends on the command)\n'
+        b'  --allow-large        override resource guards\n'
+    ),
+    "lds": (
+        b'usage: latmult lds [-h] [--format {json,tsv}] [--allow-large] [word]\n'
+        b'\n'
+        b'positional arguments:\n'
+        b'  word                 digits, e.g. 26873415 (read from stdin when omitted)\n'
+        b'\n'
+        b'options:\n'
+        b'  -h, --help           show this help message and exit\n'
+        b'  --format {json,tsv}  output format (default depends on the command)\n'
+        b'  --allow-large        override resource guards\n'
+    ),
+    "verify": (
+        b'usage: latmult verify [-h] --ell-max ELL_MAX --k-max K_MAX\n'
+        b'                      [--format {json,tsv}] [--allow-large]\n'
+        b'\n'
+        b'options:\n'
+        b'  -h, --help           show this help message and exit\n'
+        b'  --ell-max ELL_MAX\n'
+        b'  --k-max K_MAX\n'
+        b'  --format {json,tsv}  output format (default depends on the command)\n'
+        b'  --allow-large        override resource guards\n'
+    ),
 }
 
 
-@pytest.mark.parametrize("verb", HELP_GOLDEN)
+@pytest.mark.parametrize("verb", HELP_GOLDEN,
+                         ids=lambda verb: verb.removeprefix("count ") or "root")
 def test_help_golden(capsysbinary, monkeypatch, verb):
     monkeypatch.setenv("COLUMNS", "80")
-    assert main(["count", verb, "--help"]) == EXIT_OK
+    assert main([*verb.split(), "--help"]) == EXIT_OK
     assert capsysbinary.readouterr().out == HELP_GOLDEN[verb]
+
+
+def _choices(*names) -> bytes:
+    """A choice list as this Python's argparse writes it after "invalid
+    choice": quoted ('a', 'b') by older releases, bare (a, b) by newer."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("x", choices=["a"])
+    with pytest.raises(argparse.ArgumentError) as caught:
+        probe.parse_args(["b"])
+    quoted = "'a'" in str(caught.value)
+    return ", ".join(map(repr if quoted else str, names)).encode()
+
+
+# Exact stderr of usage errors, at a fixed 80-column width: exit 2 and empty
+# stdout, with the usage line of the parser that met the error.
+USAGE_GOLDEN = [
+    pytest.param(
+        "frobnicate",
+        (
+            b'usage: latmult [-h] {count,mult,map,lds,verify} ...\n'
+            b"latmult: error: argument command: invalid choice: 'frobnicate' "
+            b'(choose from ' + _choices("count", "mult", "map", "lds", "verify") + b')\n'
+        ),
+        id="unknown-verb",
+    ),
+    pytest.param(
+        "count paths --ell 4",
+        (
+            b'usage: latmult count paths [-h] --ell ELL --k K [--method {brute,formula}]\n'
+            b'                           [--per-shape] [--format {json,tsv}] [--allow-large]\n'
+            b'latmult count paths: error: the following arguments are required: --k\n'
+        ),
+        id="missing-option",
+    ),
+    pytest.param(
+        "count avoiders --ell 4 --k 2 --method guess",
+        (
+            b'usage: latmult count avoiders [-h] --ell ELL --k K\n'
+            b'                              [--method {brute,rsk,formula}]\n'
+            b'                              [--format {json,tsv}] [--allow-large]\n'
+            b"latmult count avoiders: error: argument --method: invalid choice: 'guess' "
+            b'(choose from ' + _choices("brute", "rsk", "formula") + b')\n'
+        ),
+        id="bad-method",
+    ),
+    pytest.param(
+        "count self-conjugate --ell 4 --k 2 --per-shape",
+        (
+            b'usage: latmult [-h] {count,mult,map,lds,verify} ...\n'
+            b'latmult: error: unrecognized arguments: --per-shape\n'
+        ),
+        id="self-conjugate-per-shape",
+    ),
+    pytest.param(
+        "map",
+        (
+            b'usage: latmult map [-h] [--k K] [--format {json,tsv}] [--allow-large]\n'
+            b'                   {tau,sigma}\n'
+            b'latmult map: error: the following arguments are required: direction\n'
+        ),
+        id="bare-map",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, err", USAGE_GOLDEN)
+def test_usage_error_golden(capsysbinary, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv.split()) == EXIT_USAGE
+    assert capsysbinary.readouterr() == (b'', err)
 
 
 class TestCountTableaux:
@@ -514,6 +693,16 @@ class TestMap:
         )
         assert code == EXIT_OK
         assert out.splitlines() == ["1\t2"]
+
+    def test_sigma_refuses_k_before_reading_stdin(self, capsys, monkeypatch):
+        # --k is tau's path count; sigma reads k off its input
+        stdin = io.StringIO(SEQUENCE)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_main(capsys, "map", "sigma", "--k", "99")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --k is for map tau only\n"
+        assert stdin.tell() == 0
 
     def test_malformed_json_reports_position(self, capsys, monkeypatch):
         code, out, err = run_main_stdin(capsys, monkeypatch, "[[1,3],", "map", "tau")
@@ -765,6 +954,15 @@ def test_argv_may_be_any_iterable(capsys, wrap):
     want = capsys.readouterr()
     assert main(wrap(argv)) == EXIT_OK
     assert capsys.readouterr() == want
+
+
+def test_main_dispatches_to_the_handler_bound_at_call_time(capsys, monkeypatch):
+    # perfbench's tracer rebinds cli.cmd_* to timed wrappers; a handler
+    # captured at import would bypass them
+    monkeypatch.setattr(cli, "cmd_mult", lambda args: (EXIT_OK, {}, [f"rebound n={args.n}"]))
+    code, out, _ = run_main(capsys, "mult", "--n", "10", "--k", "4", "--ell", "5",
+                            "--format", "tsv")
+    assert (code, out) == (EXIT_OK, "rebound n=10\n")
 
 
 @st.composite
