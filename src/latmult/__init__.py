@@ -5,7 +5,12 @@ paths, maps them bijectively to standard Young tableaux of bounded height,
 counts permutations avoiding a long decreasing pattern, and evaluates the
 matching multiplicities of maximal dominant weights for affine type A.
 All arithmetic is exact (Python integers); nothing here uses floats.
+
+Every name imported here is public: `__all__` lists, sorted, each name the
+imports bind, less modules and names that start with `_`.
 """
+
+import types
 
 from latmult.admissibility import is_admissible, sequence_type
 from latmult.avoidance import Permutation, count_avoiders, lds_length, rsk
@@ -46,46 +51,9 @@ from latmult.weights import (
     weight_pairings,
 )
 
-__all__ = [
-    "AffineCartan",
-    "ColorCountTable",
-    "FamilyEntry",
-    "LatticePath",
-    "Partition",
-    "PathSequence",
-    "Permutation",
-    "ResourceLimitError",
-    "RootVector",
-    "StandardTableau",
-    "WeightVector",
-    "color_counts",
-    "count_avoiders",
-    "count_by_type",
-    "count_sequences",
-    "count_syt",
-    "enumerate_admissible",
-    "enumerate_self_conjugate",
-    "enumerate_syt",
-    "gamma",
-    "is_admissible",
-    "is_self_conjugate",
-    "join",
-    "lds_length",
-    "maximal_dominant_family",
-    "multiplicity",
-    "partitions_of",
-    "path_leq",
-    "reflect",
-    "render_report",
-    "rsk",
-    "run_verification",
-    "sequence_type",
-    "sigma",
-    "split",
-    "syt_sum",
-    "syt_sum_squares",
-    "tau",
-    "weight_pairings",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)
 
-__version__ = "0.6.3"
+__version__ = "0.6.4"

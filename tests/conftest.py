@@ -1,9 +1,18 @@
-"""Shared hypothesis profile, generation helpers and partition oracles.
+"""Shared hypothesis profile, generation helpers, and every oracle that two
+or more test modules use; no test module imports another.
 
 Strategies cache exhaustive enumerations of small objects so property tests
 sample uniformly from complete populations instead of rebuilding them.
+
+The admissibility oracles re-state every clause directly in terms of box
+sets on the colored square, sharing no code with the implementation under
+test: they list the boxes and their colors themselves, and find the boxes
+below a path from the path's vertices.
 """
 
+import itertools
+import operator
+import sys
 from functools import lru_cache
 
 import hypothesis.strategies as st
@@ -16,7 +25,9 @@ from latmult import (
     enumerate_admissible,
     enumerate_syt,
     partitions_of,
+    path_leq,
 )
+from latmult.admissibility import _successors
 
 settings.register_profile(
     "latmult",
@@ -60,6 +71,133 @@ def hook_lengths(lam: Partition) -> tuple[tuple[int, ...], ...]:
         tuple(row_len + cols[j] - i - j - 1 for j in range(row_len))
         for i, row_len in enumerate(lam.parts)
     )
+
+
+def involutions(n):
+    """Oracle: a(n) = a(n-1) + (n-1) a(n-2), a(0) = a(1) = 1."""
+    a, b = 1, 1
+    for m in range(2, n + 1):
+        a, b = b, b + (m - 1) * a
+    return b
+
+
+def frames_in_use():
+    """The stack depth the interpreter counts here, C calls included."""
+    def descend(depth):
+        try:
+            return descend(depth + 1)
+        except RecursionError:
+            return depth
+
+    return sys.getrecursionlimit() - descend(0)
+
+
+def vertices(p):
+    """All lattice points visited by p, starting at (0, -ell)."""
+    x, y = 0, -p.ell
+    out = [(x, y)]
+    for move in p.moves:
+        if move == "R":
+            x += 1
+        else:
+            y += 1
+        out.append((x, y))
+    return out
+
+
+def boxes_weakly_below(p):
+    """Oracle: box (a, b) counts when some visited vertex has x <= a, y >= b."""
+    verts = vertices(p)
+    out = set()
+    for a in range(p.ell):
+        for b in range(-(p.ell - 1), 1):
+            if any(x <= a and y >= b for x, y in verts):
+                out.add((a, b))
+    return out
+
+
+def oracle_band_counts(z):
+    """Band tallies per color from raw box sets; the box cornered at (a, b)
+    has color a + b."""
+    ell, k = z.ell, z.k
+    square = {(a, b) for a in range(ell) for b in range(1 - ell, 1)}
+    below = [boxes_weakly_below(p) for p in z.paths]
+    bands = [square - below[-1], below[0]]
+    for i in range(2, k):
+        bands.insert(i, below[i - 1] - below[i - 2])
+    count = {}
+    for i in range(k):
+        for j in range(-(ell - 1), ell):
+            count[(i, j)] = sum(1 for a, b in bands[i] if a + b == j)
+    return count
+
+
+def oracle_diagonal(p):
+    """First path stays weakly below the anti-diagonal: every prefix has
+    at least as many right moves as up moves."""
+    r = u = 0
+    for move in p.moves:
+        if move == "R":
+            r += 1
+        else:
+            u += 1
+        if u > r:
+            return False
+    return True
+
+
+def oracle_admissible(z):
+    """Direct clause-by-clause transcription of the defining conditions."""
+    if not oracle_diagonal(z.paths[0]):
+        return False
+    ell, k = z.ell, z.k
+    t = oracle_band_counts(z)
+    for i in range(2, k):
+        for j in range(-(ell - 1), ell):
+            if t[(i, j)] > t[(i - 1, j)]:
+                return False
+            budget = ell - abs(j) - t[(1, j)] - sum(t[(a, j)] for a in range(1, i))
+            if t[(i, j)] > budget:
+                return False
+            if j > 0 and t[(i, j)] > t[(i, j - 1)]:
+                return False
+            if j < 0 and t[(i, j)] > t[(i, j + 1)]:
+                return False
+    return True
+
+
+def oracle_type(z):
+    """The color-zero band tallies, band 0 first, trailing zeros dropped."""
+    t = oracle_band_counts(z)
+    column = [t[(i, 0)] for i in range(z.k)]
+    while column and column[-1] == 0:
+        column.pop()
+    return Partition(tuple(column))
+
+
+def nested_sequences(ell, k):
+    """Every nested sequence of k-1 paths on the ell square, unpruned."""
+    paths = [
+        LatticePath("".join("U" if m in ups else "R" for m in range(2 * ell)))
+        for ups in itertools.combinations(range(2 * ell), ell)
+    ]
+    chains = [()]
+    for _ in range(k - 1):
+        chains = [c + (p,) for c in chains for p in paths if not c or path_leq(c[-1], p)]
+    return [PathSequence(c) for c in chains]
+
+
+def walked_admissible(ell, k):
+    """Oracle for the pairing of halves: grow every sequence one column per
+    move through all 2 * ell moves, with no state shared between halves."""
+    layer = [(("",) * (k - 1), (0,) * (k - 1))]
+    for m in range(1, 2 * ell + 1):
+        layer = [
+            (tuple(map(operator.add, moves, column)), nxt)
+            for moves, s in layer
+            for column, nxt in _successors(ell, m, s)
+        ]
+    return [moves for moves, _ in layer]
 
 
 @st.composite

@@ -1,15 +1,14 @@
 """Admissibility of nested path sequences and their type partitions.
 
-The oracle below re-states every admissibility clause directly in terms
-of box sets on the colored square, sharing no code with the implementation
-under test: it lists the boxes and their colors itself, and finds the boxes
-below a path from the path's vertices (test_paths.boxes_weakly_below).
+The oracles are conftest's: a clause-by-clause transcription of the
+admissibility conditions in terms of box sets on the colored square,
+sharing no code with the implementation under test, run over every nested
+sequence.
 """
 
 import copy
 import gc
 import inspect
-import itertools
 import pickle
 import weakref
 
@@ -23,84 +22,20 @@ from latmult import (
     count_sequences,
     enumerate_admissible,
     is_admissible,
-    path_leq,
     reflect,
     sequence_type,
 )
 
-from conftest import all_admissible, nested_sequences_st, paths_st
-from test_paths import boxes_weakly_below
-
-
-def oracle_band_counts(z):
-    """Band tallies per color from raw box sets; the box cornered at (a, b)
-    has color a + b."""
-    ell, k = z.ell, z.k
-    square = {(a, b) for a in range(ell) for b in range(1 - ell, 1)}
-    below = [boxes_weakly_below(p) for p in z.paths]
-    bands = [square - below[-1], below[0]]
-    for i in range(2, k):
-        bands.insert(i, below[i - 1] - below[i - 2])
-    count = {}
-    for i in range(k):
-        for j in range(-(ell - 1), ell):
-            count[(i, j)] = sum(1 for a, b in bands[i] if a + b == j)
-    return count
-
-
-def oracle_diagonal(p):
-    """First path stays weakly below the anti-diagonal: every prefix has
-    at least as many right moves as up moves."""
-    r = u = 0
-    for move in p.moves:
-        if move == "R":
-            r += 1
-        else:
-            u += 1
-        if u > r:
-            return False
-    return True
-
-
-def oracle_admissible(z):
-    """Direct clause-by-clause transcription of the defining conditions."""
-    if not oracle_diagonal(z.paths[0]):
-        return False
-    ell, k = z.ell, z.k
-    t = oracle_band_counts(z)
-    for i in range(2, k):
-        for j in range(-(ell - 1), ell):
-            if t[(i, j)] > t[(i - 1, j)]:
-                return False
-            budget = ell - abs(j) - t[(1, j)] - sum(t[(a, j)] for a in range(1, i))
-            if t[(i, j)] > budget:
-                return False
-            if j > 0 and t[(i, j)] > t[(i, j - 1)]:
-                return False
-            if j < 0 and t[(i, j)] > t[(i, j + 1)]:
-                return False
-    return True
-
-
-def oracle_type(z):
-    """The color-zero band tallies, band 0 first, trailing zeros dropped."""
-    t = oracle_band_counts(z)
-    column = [t[(i, 0)] for i in range(z.k)]
-    while column and column[-1] == 0:
-        column.pop()
-    return Partition(tuple(column))
-
-
-def nested_sequences(ell, k):
-    """Every nested sequence of k-1 paths on the ell square, unpruned."""
-    paths = [
-        LatticePath("".join("U" if m in ups else "R" for m in range(2 * ell)))
-        for ups in itertools.combinations(range(2 * ell), ell)
-    ]
-    chains = [()]
-    for _ in range(k - 1):
-        chains = [c + (p,) for c in chains for p in paths if not c or path_leq(c[-1], p)]
-    return [PathSequence(c) for c in chains]
+from conftest import (
+    all_admissible,
+    nested_sequences,
+    nested_sequences_st,
+    oracle_admissible,
+    oracle_diagonal,
+    oracle_type,
+    paths_st,
+    walked_admissible,
+)
 
 
 class TestDiagonalCondition:
@@ -340,7 +275,6 @@ class TestEveryClauseMatters:
             return count_sequences(ell, k)
         if what == "verdict":  # fresh public sequences, so each is evaluated
             return [z for z in nested_sequences(ell, k) if is_admissible(z) != oracle_admissible(z)]
-        from test_enumeration import walked_admissible  # imported here: it imports this module
         return sorted(walked_admissible(ell, k))
 
     @staticmethod

@@ -25,6 +25,8 @@ from latmult import (
 )
 from latmult.avoidance import _tableau_layers
 
+from conftest import frames_in_use
+
 
 def oracle_lds(word):
     """Quadratic DP: best[i] = longest strict decrease ending at position i."""
@@ -129,17 +131,6 @@ def catalan(n):
     if n == 0:
         return 1
     return sum(catalan(i) * catalan(n - 1 - i) for i in range(n))
-
-
-def frames_in_use():
-    """The stack depth the interpreter counts here, C calls included."""
-    def descend(depth):
-        try:
-            return descend(depth + 1)
-        except RecursionError:
-            return depth
-
-    return sys.getrecursionlimit() - descend(0)
 
 
 def perms_st(max_size=7):

@@ -1,15 +1,14 @@
 """Exhaustive enumeration of admissible sequences.
 
 Oracle: generate every nested tuple of monotone paths outright (no pruning),
-filter with the clause-by-clause admissibility transcription from
-test_admissibility, and compare sets, counts, and order. Past that oracle's
-reach, a walk over all 2 * ell moves checks the pairing of halves.
+filter with the clause-by-clause admissibility transcription (conftest's
+nested_sequences and oracle_admissible), and compare sets, counts, and
+order. Past that oracle's reach, a walk over all 2 * ell moves
+(walked_admissible) checks the pairing of halves.
 """
 
 import gc
-import itertools
 import math
-import operator
 import sys
 import weakref
 
@@ -29,52 +28,19 @@ from latmult import (
     enumerate_self_conjugate,
     is_self_conjugate,
     partitions_of,
-    path_leq,
     sequence_type,
     syt_sum,
     syt_sum_squares,
 )
-from latmult.admissibility import _successors, is_admissible
+from latmult.admissibility import is_admissible
 from latmult.enumeration import visit_admissible
 
-from test_admissibility import oracle_admissible
-from test_avoidance import frames_in_use
-
-
-def all_paths(ell):
-    out = []
-    for positions in itertools.combinations(range(2 * ell), ell):
-        moves = ["U"] * (2 * ell)
-        for pos in positions:
-            moves[pos] = "R"
-        out.append(LatticePath("".join(moves)))
-    return out
+from conftest import frames_in_use, involutions, nested_sequences, oracle_admissible, walked_admissible
 
 
 def brute_admissible(ell, k):
-    """Oracle: unpruned product of path tuples, nesting + clause filter."""
-    paths = all_paths(ell)
-    found = []
-    for combo in itertools.product(paths, repeat=k - 1):
-        if any(not path_leq(a, b) for a, b in zip(combo, combo[1:])):
-            continue
-        z = PathSequence(combo)
-        if oracle_admissible(z):
-            found.append(z)
-    return found
-
-
-def walked_admissible(ell, k):
-    """Oracle for the pairing of halves: grow every sequence one column per
-    move through all 2 * ell moves, with no state shared between halves."""
-    layer = [(("",) * (k - 1), (0,) * (k - 1))]
-    for m in range(1, 2 * ell + 1):
-        layer = [
-            (tuple(map(operator.add, moves, column)), nxt)
-            for moves, s in layer
-            for column, nxt in _successors(ell, m, s)
-        ]
-    return [moves for moves, _ in layer]
+    """Oracle: every nested sequence, unpruned, through the clause filter."""
+    return [z for z in nested_sequences(ell, k) if oracle_admissible(z)]
 
 
 ORACLE_GRID = [
@@ -301,10 +267,7 @@ class TestClosedForms:
     def test_unbounded_height_factorial_and_involutions(self, ell, k):
         # [DERIVED] at k >= ell every shape of ell occurs: sum f^2 = ell! by
         # RSK, and sum f counts the involutions, a(n) = a(n-1) + (n-1) a(n-2)
-        involutions = [1, 1]
-        for n in range(2, ell + 1):
-            involutions.append(involutions[n - 1] + (n - 1) * involutions[n - 2])
-        assert count_sequences(ell, k, allow_large=True) == (math.factorial(ell), involutions[ell])
+        assert count_sequences(ell, k, allow_large=True) == (math.factorial(ell), involutions(ell))
 
 
 class TestGuards:

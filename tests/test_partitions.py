@@ -24,8 +24,7 @@ from latmult import (
 )
 
 import latmult.partitions as partitions_module
-from conftest import conjugate, hook_lengths, partitions_st
-from test_avoidance import frames_in_use
+from conftest import conjugate, frames_in_use, hook_lengths, involutions, partitions_st
 
 
 def brute_partitions(ell, max_height):
@@ -163,14 +162,6 @@ class TestHookLengths:
 def hook_count(lam):
     """Oracle: f_lambda by the hook length formula, n! over the hook product."""
     return math.factorial(lam.size) // math.prod(h for row in hook_lengths(lam) for h in row)
-
-
-def involutions(n):
-    """Oracle: a(n) = a(n-1) + (n-1) a(n-2), a(0) = a(1) = 1."""
-    a, b = 1, 1
-    for m in range(2, n + 1):
-        a, b = b, b + (m - 1) * a
-    return b
 
 
 class TestCountSyt:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from test_partitions import involutions
+from conftest import involutions
 
 ROOT = Path(__file__).resolve().parent.parent
 

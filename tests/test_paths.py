@@ -1,9 +1,10 @@
 """Lattice paths on the colored square: geometry, reflection, nesting,
 and per-band color counts.
 
-Oracles work directly from the path's vertex set and the box grid:
-a box with upper-left corner (a, b) lies weakly below a path exactly
-when the path passes through some vertex (x, y) with x <= a and y >= b.
+Oracles (conftest's vertices and boxes_weakly_below) work directly from
+the path's vertex set and the box grid: a box with upper-left corner
+(a, b) lies weakly below a path exactly when the path passes through some
+vertex (x, y) with x <= a and y >= b.
 """
 
 import dataclasses
@@ -29,31 +30,7 @@ from latmult import paths
 from latmult.paths import _sequence
 from latmult.serialize import path_from_json, sequence_from_json, sequence_to_json
 
-from conftest import nested_sequences_st, paths_st
-
-
-def vertices(p):
-    """All lattice points visited by p, starting at (0, -ell)."""
-    x, y = 0, -p.ell
-    out = [(x, y)]
-    for move in p.moves:
-        if move == "R":
-            x += 1
-        else:
-            y += 1
-        out.append((x, y))
-    return out
-
-
-def boxes_weakly_below(p):
-    """Oracle: box (a, b) counts when some visited vertex has x <= a, y >= b."""
-    verts = vertices(p)
-    out = set()
-    for a in range(p.ell):
-        for b in range(-(p.ell - 1), 1):
-            if any(x <= a and y >= b for x, y in verts):
-                out.add((a, b))
-    return out
+from conftest import boxes_weakly_below, nested_sequences_st, paths_st, vertices
 
 
 class TestLatticePath:

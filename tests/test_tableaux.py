@@ -12,8 +12,7 @@ from hypothesis import given
 
 from latmult import Partition, StandardTableau, count_syt, enumerate_syt
 
-from conftest import partitions_st, tableaux_st
-from test_avoidance import frames_in_use
+from conftest import frames_in_use, partitions_st, tableaux_st
 
 
 def frames_needed(call):
