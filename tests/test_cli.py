@@ -816,6 +816,22 @@ class TestVerify:
         assert all(check["ok"] for check in payload["checks"])
 
 
+class TestUsageErrors:
+    def test_missing_required_option(self, capsys):
+        code, _, err = run_main(capsys, "count", "paths", "--ell", "4")
+        assert code == EXIT_USAGE
+
+    def test_unknown_command(self, capsys):
+        code, _, _ = run_main(capsys, "frobnicate")
+        assert code == EXIT_USAGE
+
+    def test_bad_method_choice(self, capsys):
+        code, _, _ = run_main(
+            capsys, "count", "avoiders", "--ell", "4", "--k", "2", "--method", "guess"
+        )
+        assert code == EXIT_USAGE
+
+
 class TestUnexpectedErrors:
     def test_deep_json_is_internal_error(self, capsys, monkeypatch):
         deep = "[" * 100_000 + "]" * 100_000
