@@ -3,7 +3,9 @@
 Every clause of the definition is written once, in _fits, one path's step
 at one move, and each clause there serves a caller that can fail it. The
 search (_successors, asked by enumeration for moves 1..ell) grows columns
-of moves with it, and is_admissible replays through it the paths'
+of up-counts with it, one path at a time, and returns the next up-count
+states alone, no move letter: a path moved up where its up-count grew.
+is_admissible replays through it the paths'
 up_prefix tables (built when each path is validated), move by move over
 all 2 * ell moves. The anti-diagonal, the cap, the budget and monotonicity
 toward color 0 at j <= 0 decide verdicts for both; monotonicity at j > 0
@@ -70,21 +72,23 @@ def _fits(ell: int, m: int, s: tuple[int, ...], i: int, lower: int, prev: int, r
     return t, room - t
 
 
-def _successors(ell: int, m: int, s: tuple[int, ...]) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
-    """The (column, next state) pairs of move m out of state s that pass
-    every clause; column[i] is path i+1's move. The column grows one path at
-    a time and is dropped at its first failing clause, so the 2**(k-1)
-    product of moves is never formed."""
-    partial: list[tuple[tuple[str, ...], tuple[int, ...], int, int]] = [((), (), 0, 0)]
+def _successors(ell: int, m: int, s: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The next states of move m out of state s whose columns pass every
+    clause: nxt[i] is path i+1's up-count after move m, so it moved up
+    where nxt[i] > s[i]. The column grows one path at a time, as
+    (up-counts so far, the last as the next path's lower, prev, room), and
+    is dropped at its first failing clause, so the 2**(k-1) product of
+    moves is never formed and no move letter is built."""
+    partial: list[tuple[tuple[int, ...], int, int, int]] = [((), 0, 0, 0)]
     for i, before in enumerate(s):
         grown = []
-        for moves, counts, prev, room in partial:
-            for mv, u in (("R", before), ("U", before + 1)):
-                fit = _fits(ell, m, s, i, counts[-1] if i else 0, prev, room, u)
+        for ups, lower, prev, room in partial:
+            for u in (before, before + 1):
+                fit = _fits(ell, m, s, i, lower, prev, room, u)
                 if fit is not None:
-                    grown.append((moves + (mv,), counts + (u,), *fit))
+                    grown.append((ups + (u,), u) + fit)
         partial = grown
-    return [(moves, counts) for moves, counts, _, _ in partial]
+    return [ups for ups, _, _, _ in partial]
 
 
 # (ell, k) -> (columns, types) of the one cell last evaluated: columns maps

@@ -11,12 +11,15 @@ Move m = ell + j fixes every band's tally on color j, and every clause on
 color j reads only those and the tallies on color j - 1, which the state
 after move m - 1 holds. So which columns of moves may follow, and which
 state each leads to, depends only on (m, s): admissibility._successors
-grows them with the clause step is_admissible replays.
+grows them with the clause step is_admissible replays, and returns only
+the next states. A column is read off its two states: path i+1 moves up
+at move m exactly where its up-count grows, nxt[i] = s[i] + 1.
 
 The search meets in the middle at move ell. _last_layer is its one walk: it
 runs forward, one layer per move for moves 1..ell, each layer a dict from a
-state to what reaches it, added up over the columns that lead there; each
-(m, s)'s successors are grown once, and nothing recurses. Reflecting every
+state to what reaches it, added up over the states s that lead there, each
+passing on what it holds through carry(held, s, nxt); each (m, s)'s
+successors are grown once, and nothing recurses. Reflecting every
 path swaps colors j and -j and keeps the state after move ell, so it sends
 the clause at color j > 0, which reads colors j and j - 1, to the clause at
 color -j + 1, and the diagonal after move m > ell to the one after
@@ -26,7 +29,8 @@ are the pairs (h, g) of first halves that reach one state, h followed by g
 mirrored.
 
 The lists carry prefixes: _halves_by_state groups the first halves by the
-state they reach, and visit_admissible hands over each pair once, building a
+state they reach, appending to each the column read off the two states
+of each step, and visit_admissible hands over each pair once, building a
 group's mirrored tails once. They hold the halves in memory, syt_sum(ell, k)
 of them, the square root of the visits. A self-conjugate sequence is the
 pair (h, h), so each admissible half completes to exactly one self-conjugate
@@ -34,10 +38,11 @@ admissible sequence, paths._mirrored's, and has the type read off its state
 after move ell.
 
 The counts carry a number: how many first halves reach each state, g, with
-no half built. Those halves are all of one type, and pair into g * g
-admissible sequences, g of them self-conjugate. So count_sequences and
-count_by_type hold one integer per state, at most
-binomial(ell + k - 1, k - 1) of them, and build no move string.
+no half built and no column read. Those halves are all of one type, and
+pair into g * g admissible sequences, g of them self-conjugate; a type has
+one state. So count_sequences and count_by_type hold one integer per
+state, at most binomial(ell + k - 1, k - 1) of them, and build no move
+letter.
 
 The search hands raw move strings to its visitor; only the enumerate_*
 wrappers build PathSequence objects, through paths._sequence.
@@ -66,23 +71,26 @@ def _check_size(ell: int, k: int, allow_large: bool) -> None:
 
 def _last_layer(ell: int, k: int, start, carry: Callable) -> dict[tuple[int, ...], object]:
     """What reaches each up-count state after move ell, one layer per move:
-    the start state holds start, carry(held, column) is what a state passes
-    through one column, and what reaches a state is added up."""
+    the start state holds start, carry(held, s, nxt) is what state s passes
+    to its successor nxt, and what reaches a state is added up."""
     layer = {(0,) * (k - 1): start}
     for m in range(1, ell + 1):
         grown: dict[tuple[int, ...], object] = {}
         for s, held in layer.items():
-            for column, nxt in _successors(ell, m, s):
-                grown[nxt] = iadd(grown[nxt], carry(held, column)) if nxt in grown else carry(held, column)
+            for nxt in _successors(ell, m, s):
+                grown[nxt] = iadd(grown[nxt], carry(held, s, nxt)) if nxt in grown else carry(held, s, nxt)
         layer = grown
     return layer
 
 
 def _halves_by_state(ell: int, k: int) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
     """The first ell moves of every admissible sequence, grouped by the
-    up-count state after move ell."""
-    start = [("",) * (k - 1)]
-    return _last_layer(ell, k, start, lambda held, column: [tuple(map(add, p, column)) for p in held])
+    up-count state after move ell. Path i+1's move from s to nxt is U
+    where nxt[i] > s[i], R where they are equal."""
+    def grow(held, s, nxt):
+        column = ["U" if b > a else "R" for a, b in zip(s, nxt)]
+        return [tuple(map(add, p, column)) for p in held]
+    return _last_layer(ell, k, [("",) * (k - 1)], grow)
 
 
 def visit_admissible(ell: int, k: int, visit: Callable[[tuple[str, ...]], None]) -> None:
@@ -121,21 +129,19 @@ def count_sequences(ell: int, k: int, *, allow_large: bool = False) -> tuple[int
     """(admissible, self-conjugate) totals, not listed: g halves that reach
     one state pair into g * g admissible sequences, g of them self-conjugate."""
     _check_size(ell, k, allow_large)
-    counts = _last_layer(ell, k, 1, lambda g, column: g).values()
+    counts = _last_layer(ell, k, 1, lambda g, s, nxt: g).values()
     return sum(g * g for g in counts), sum(counts)
 
 
 def count_by_type(ell: int, k: int, *, allow_large: bool = False) -> dict[Partition, tuple[int, int]]:
     """Per-partition tallies: (admissible count, self-conjugate count), read
     off how many halves reach each state; those halves share the state's type.
+    A type is reached at one state only: the state's up-counts are the
+    running sums of the type's parts after the first, padded with zeros.
 
     Keys are exactly partitions_of(ell, k) in their canonical order.
     """
     _check_size(ell, k, allow_large)
-    shapes = partitions_of(ell, k)
-    tallies = {lam.parts: [0, 0] for lam in shapes}
-    for s, g in _last_layer(ell, k, 1, lambda g, column: g).items():
-        tally = tallies[_type_parts(s, ell)]
-        tally[0] += g * g
-        tally[1] += g
-    return {lam: tuple(tallies[lam.parts]) for lam in shapes}
+    reached = _last_layer(ell, k, 1, lambda g, s, nxt: g)
+    tallies = {_type_parts(s, ell): (g * g, g) for s, g in reached.items()}
+    return {lam: tallies[lam.parts] for lam in partitions_of(ell, k)}

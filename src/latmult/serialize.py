@@ -50,8 +50,8 @@ def sequence_from_json(obj) -> PathSequence:
 
 
 def permutation_from_word(text: str) -> Permutation:
-    """Parse a one-line word of decimal digits, for sizes up to 9."""
+    """Parse a one-line word of ASCII decimal digits, for sizes up to 9."""
     word = text.strip()
-    if not word.isdigit():
+    if not (word.isascii() and word.isdigit()):  # str.isdigit alone passes ３, ٣ and ²
         raise ValueError(f"word must be decimal digits like 26873415, got {text!r}")
     return Permutation(tuple(int(ch) for ch in word))

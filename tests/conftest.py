@@ -11,7 +11,6 @@ below a path from the path's vertices.
 """
 
 import itertools
-import operator
 import sys
 from functools import lru_cache
 
@@ -189,13 +188,14 @@ def nested_sequences(ell, k):
 
 def walked_admissible(ell, k):
     """Oracle for the pairing of halves: grow every sequence one column per
-    move through all 2 * ell moves, with no state shared between halves."""
+    move through all 2 * ell moves, with no state shared between halves.
+    Path i+1 moves up at move m exactly where its up-count grows."""
     layer = [(("",) * (k - 1), (0,) * (k - 1))]
     for m in range(1, 2 * ell + 1):
         layer = [
-            (tuple(map(operator.add, moves, column)), nxt)
+            (tuple(p + ("U" if b > a else "R") for p, a, b in zip(moves, s, nxt)), nxt)
             for moves, s in layer
-            for column, nxt in _successors(ell, m, s)
+            for nxt in _successors(ell, m, s)
         ]
     return [moves for moves, _ in layer]
 

@@ -9,6 +9,7 @@ sequence.
 import copy
 import gc
 import inspect
+import itertools
 import pickle
 import weakref
 
@@ -25,6 +26,7 @@ from latmult import (
     reflect,
     sequence_type,
 )
+from latmult.admissibility import _column_fits, _successors
 
 from conftest import (
     all_admissible,
@@ -247,6 +249,27 @@ class TestColumnTable:
             assert not oracle_admissible(z)
             with pytest.raises(ValueError):
                 sequence_type(z)
+
+
+class TestSuccessors:
+    """The search grows a column one path at a time and keeps only the next
+    state; the replay checks a whole column at once. Both ask _fits, and on
+    every state the full 2 * ell walk meets they pass the same columns."""
+
+    @pytest.mark.parametrize("ell, k", [(ell, k) for ell in range(1, 7) for k in range(2, 6)])
+    def test_successors_are_the_columns_the_replay_passes(self, ell, k):
+        layer = {(0,) * (k - 1)}
+        for m in range(1, 2 * ell + 1):
+            grown = set()
+            for s in layer:
+                columns = (tuple(u + b for u, b in zip(s, bits))
+                           for bits in itertools.product((0, 1), repeat=k - 1))
+                passing = [ups for ups in columns if _column_fits(ell, m, s, ups)]
+                nxt = _successors(ell, m, s)
+                assert sorted(nxt) == sorted(passing), (m, s)  # each passing column once
+                grown.update(nxt)
+            layer = grown
+        assert layer == {(ell,) * (k - 1)}  # every path ends with ell up moves
 
 
 # (clause, its text in _fits, the text that drops it, what changes, the cell)

@@ -766,6 +766,14 @@ class TestLds:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    @pytest.mark.parametrize("word", ["３１２", "٣١٢", "3²1"], ids=["fullwidth", "arabic-indic", "superscript"])
+    @pytest.mark.parametrize("source", ["argument", "stdin"])
+    def test_digits_outside_ascii_are_usage_errors(self, capsys, monkeypatch, word, source):
+        text, argv = (word, ["lds", word]) if source == "argument" else (word + "\n", ["lds"])
+        code, out, err = run_main_stdin(capsys, monkeypatch, text, *argv)  # stdin unread given the word
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: word must be decimal digits like 26873415, got {text!r}\n"
+
 
 class TestStdinBound:
     """map and lds read at most cli.STDIN_LIMIT_CHARS characters of stdin."""

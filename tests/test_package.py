@@ -35,6 +35,16 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_every_export_is_named_in_readme():
+    """Each exported name shows in README's Library section as code: in its
+    python example or between backticks."""
+    library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.findall(r"```python\n(.*?)```", library, re.S)
+    code += re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", library, flags=re.S))
+    named = set(re.findall(r"\w+", " ".join(code)))
+    assert [name for name in latmult.__all__ if name not in named] == []
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text()
     library = readme.split("\n## Library\n", 1)[1]

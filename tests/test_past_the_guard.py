@@ -77,9 +77,11 @@ ROUTES = [
     ("paths", 8, 4, "brute", 60, None),
     ("paths", 10, 4, "brute", 60, None),
     ("paths", 12, 6, "brute", 60, None),
+    ("paths", 30, 6, "brute", 10, None),
     ("paths", 40, 4, "brute", 10, None),
     ("self-conjugate", 8, 4, "brute", 60, None),
     ("self-conjugate", 12, 6, "brute", 60, None),
+    ("self-conjugate", 30, 6, "brute", 10, None),
     ("self-conjugate", 500, 2, "brute", 10, None),
     ("avoiders", 14, 4, "brute", 60, None),
     ("avoiders", 10, 4, "rsk", 60, None),

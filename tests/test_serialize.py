@@ -95,6 +95,12 @@ class TestWordParsing:
         with pytest.raises(ValueError):
             serialize.permutation_from_word("")
 
+    @pytest.mark.parametrize("word", ["３１２", "٣١٢", "3²1"], ids=["fullwidth", "arabic-indic", "superscript"])
+    def test_rejects_digits_outside_ascii(self, word):
+        # str.isdigit holds for each, and int() reads the first two as 312
+        with pytest.raises(ValueError, match="word must be decimal digits like 26873415"):
+            serialize.permutation_from_word(word)
+
     def test_rejects_non_permutations(self):
         with pytest.raises(ValueError):
             serialize.permutation_from_word("11")
