@@ -1,19 +1,30 @@
 """The admissibility predicate for nested path sequences, and their type.
 
-Every clause of the definition is written once, in _fits, one path's step
-at one move, and each clause there serves a caller that can fail it. The
-search (_successors, asked by enumeration for moves 1..ell) grows columns
-of up-counts with it, one path at a time, and returns the next up-count
-states alone, no move letter: a path moved up where its up-count grew.
-is_admissible replays through it the paths'
-up_prefix tables (built when each path is validated), move by move over
-all 2 * ell moves. The anti-diagonal, the cap, the budget and monotonicity
-toward color 0 at j <= 0 decide verdicts for both; monotonicity at j > 0
-only for the replay, as the search stops at move ell. Nesting has no
-clause: the search's monotonicity fails a path that drops below its
-predecessor, and PathSequence has checked a replayed sequence nested.
-Move exhaustion bounds _successors past move ell alone, which no library
-route asks for: only the tests' full walk over 2 * ell moves does.
+After move m the paths' up-counts, the state s = (u_1, ..., u_{k-1}), hold
+every band's tally on color j = m - ell: path i has u_i - max(j, 0) boxes
+of that color below it, and a band between two paths tallies the
+difference. Every clause at a color j <= 0 is written once, in _fits, one
+path's step at one move m <= ell, where the state before the move holds
+color j - 1. _successors, its only caller, grows the columns of a move
+with it, one path at a time, and returns the next states alone, no move
+letter: a path moved up where its up-count grew. Nesting has no clause: a
+path that drops below its predecessor gives its band a negative tally,
+which fails monotonicity, and PathSequence has checked a replayed sequence
+nested.
+
+The colors past 0 need no clause of their own. Reflecting every path
+across the anti-diagonal keeps the paths' order and the bands, swaps
+colors j and -j, and so keeps every clause, which reads j and -j alike:
+the mirror of an admissible sequence is admissible. The mirror's up-count
+after move m is m - ell plus the sequence's after move 2 * ell - m, so the
+two meet at the state after move ell, and the mirror's move ell + 1 - c
+is the sequence's move ell + c read backwards: where that goes from s to
+ups, the mirror goes from ups shifted by -c to s shifted by 1 - c. The
+mirror's colors <= 0 are the sequence's colors >= 0, so a sequence is
+admissible exactly when its first ell moves and its mirror's pass _fits.
+This is the one statement of that argument. enumeration pairs first halves
+that reach one state on it, and is_admissible's replay reads a sequence's
+last ell moves through it.
 
 The verdict (the type, read off the state after move ell, or None when
 inadmissible) is evaluated on a sequence's first query and kept on it as
@@ -26,17 +37,20 @@ constructor evaluates its own.
 Sequences of one cell (ell, k) share most of their columns: whether a
 column passes depends only on (ell, m, s, ups), the move, the state before
 it and the up-counts after it, and the type only on the state after move
-ell. So _evaluate keeps two tables for the one cell it last met: each
-column met, failing ones included, to whether it passes, and each state
-after move ell to its Partition. A column is replayed through _fits once,
-on its first meeting in the cell; a type is built once per state. The
-tables hold one cell at a time because the library's work comes cell by
-cell (verify checks one, then the next) and repeats only within it: a
-sequence of another cell starts fresh tables, and that bounds them with no
-size constant. The trade is memory: the last cell's tables stay until
-another cell is evaluated, at most 2 * ell entries per sequence evaluated
-there and in practice far fewer (a verify pass over (6,5), (5,6), (5,5)
-and (4,7) meets 1 762 distinct columns in 41 562 and 293 states in 3 909
+ell. So _evaluate replays the paths' up_prefix tables (built when each
+path is validated) move by move over all 2 * ell moves, and keeps two
+tables for the one cell it last met: each column met, failing ones
+included, to whether it passes, and each state after move ell to its
+Partition. A column is asked of _successors once, on its first meeting in
+the cell, as the one column it grows: directly at moves <= ell, and
+through the mirror past them. A type is built once per state. The tables
+hold one cell at a time because the library's work comes cell by cell
+(verify checks one, then the next) and repeats only within it: a sequence
+of another cell starts fresh tables, and that bounds them with no size
+constant. The trade is memory: the last cell's tables stay until another
+cell is evaluated, at most 2 * ell entries per sequence evaluated there
+and in practice far fewer (a verify pass over (6,5), (5,6), (5,5) and
+(4,7) meets 1 762 distinct columns in 41 562 and 293 states in 3 909
 sequences). Every entry is a pure function of its key and cell, so two
 threads that race on a table only repeat work.
 """
@@ -45,74 +59,66 @@ from latmult.partitions import Partition
 from latmult.paths import PathSequence
 
 
-def _fits(ell: int, m: int, s: tuple[int, ...], i: int, lower: int, prev: int, room: int,
+def _fits(m: int, s: tuple[int, ...], i: int, lower: int, prev: int, room: int,
           u: int) -> tuple[int, int] | None:
-    """Every clause, on path i+1 moving to up-count u at move m out of state
-    s (the up-counts after move m - 1), with path i at lower after move m.
-    Move m fixes each band's tally at color j = m - ell; prev is band i's
-    and room what band i+1 may still spend there. Returns (band i+1's
-    tally, room for band i+2), or None at the first failing clause. The
-    last move fixes no color, but there every tally and budget is 0.
-    The search calls it at moves 1..ell only, so the clauses at j > 0
-    serve the replay, and exhaustion the tests' full walk alone."""
-    j = m - ell
-    if u > ell or m - u > ell:  # moves exhausted: only _successors past move ell can fail this
-        return None
+    """Every clause at color j = m - ell <= 0, on path i+1 moving to up-count
+    u at move m out of state s (the up-counts after move m - 1), with path i
+    at lower after move m. prev is band i's tally on color j and room what
+    band i+1 may still spend there. Returns (band i+1's tally, room for
+    band i+2), or None at the first failing clause."""
     if i == 0:
         if 2 * u > m:  # first path may not cross the anti-diagonal
             return None
-        t = u - max(j, 0)
-        return t, ell - abs(j) - 2 * t  # band 1 counts twice in every budget
-    # nesting is implied: at moves <= ell t < 0 <= left fails monotonicity; path_leq checked a replay
+        return u, m - 2 * u  # ell - |j| boxes of color j; band 1 counts twice in every budget
     t = u - lower
-    left = s[i] - s[i - 1]  # band i+1's tally at color j - 1 (0 at the first color)
-    # the cap against band i, the budget, weak monotonicity toward color 0
-    if not (t <= prev and t <= room and (left <= t if j <= 0 else t <= left)):
+    left = s[i] - s[i - 1]  # band i+1's tally on color j - 1 (0 at the first color)
+    # weak monotonicity toward color 0, the cap against band i, the budget
+    if not (left <= t <= prev and t <= room):
         return None
     return t, room - t
 
 
-def _successors(ell: int, m: int, s: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The next states of move m out of state s whose columns pass every
-    clause: nxt[i] is path i+1's up-count after move m, so it moved up
-    where nxt[i] > s[i]. The column grows one path at a time, as
+def _successors(m: int, s: tuple[int, ...], ups: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:
+    """The next states of move m <= ell out of state s whose columns pass
+    every clause: nxt[i] is path i+1's up-count after move m, so it moved up
+    where nxt[i] > s[i]. Given ups, only the column to ups is grown, and
+    the answer is [ups] or []. The column grows one path at a time, as
     (up-counts so far, the last as the next path's lower, prev, room), and
     is dropped at its first failing clause, so the 2**(k-1) product of
     moves is never formed and no move letter is built."""
     partial: list[tuple[tuple[int, ...], int, int, int]] = [((), 0, 0, 0)]
     for i, before in enumerate(s):
+        choices = (before, before + 1) if ups is None else (ups[i],)
         grown = []
-        for ups, lower, prev, room in partial:
-            for u in (before, before + 1):
-                fit = _fits(ell, m, s, i, lower, prev, room, u)
+        for done, lower, prev, room in partial:
+            for u in choices:
+                fit = _fits(m, s, i, lower, prev, room, u)
                 if fit is not None:
-                    grown.append((ups + (u,), u) + fit)
+                    grown.append((done + (u,), u) + fit)
         partial = grown
-    return [ups for ups, _, _, _ in partial]
+    return [nxt for nxt, _, _, _ in partial]
 
 
 # (ell, k) -> (columns, types) of the one cell last evaluated: columns maps
-# (m, s, ups) to whether that column passes _fits, types maps a state after
-# move ell to its type
+# (m, s, ups) to whether that column passes, as _column_passes answers,
+# types maps a state after move ell to its type
 _CELL: dict[tuple[int, int], tuple[dict, dict]] = {}
 
 
-def _column_fits(ell: int, m: int, s: tuple[int, ...], ups: tuple[int, ...]) -> bool:
-    """Whether the column taking state s to ups at move m passes every
-    clause, replayed through _fits one path at a time."""
-    prev = room = 0
-    for i, u in enumerate(ups):
-        fit = _fits(ell, m, s, i, ups[i - 1] if i else 0, prev, room, u)
-        if fit is None:
-            return False
-        prev, room = fit
-    return True
+def _column_passes(ell: int, m: int, s: tuple[int, ...], ups: tuple[int, ...]) -> bool:
+    """Whether the column taking state s to ups at move m passes: asked of
+    _successors directly at m <= ell; past move ell, with c = m - ell, as
+    the mirror's move ell + 1 - c read backwards (see the module docstring)."""
+    if m <= ell:
+        return bool(_successors(m, s, ups))
+    c = m - ell
+    return bool(_successors(ell + 1 - c, tuple([u - c for u in ups]), tuple([u + 1 - c for u in s])))
 
 
 def _evaluate(z: PathSequence) -> Partition | None:
     """The type of z, or None when z is inadmissible: z's up-count states,
     states[m] the paths' up-counts after move m, each column looked up in
-    the cell's table and replayed through _fits on its first meeting."""
+    the cell's table and asked of _column_passes on its first meeting."""
     ell = z.ell
     tables = _CELL.get((ell, z.k))
     if tables is None:  # a new cell's tables replace the last cell's
@@ -123,7 +129,7 @@ def _evaluate(z: PathSequence) -> Partition | None:
     for key in zip(range(1, 2 * ell + 1), states, states[1:]):
         fits = columns.get(key)
         if fits is None:
-            fits = columns[key] = _column_fits(ell, *key)
+            fits = columns[key] = _column_passes(ell, *key)
         if not fits:
             return None
     lam = types.get(states[ell])

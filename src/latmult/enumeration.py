@@ -9,23 +9,18 @@ states (15 at most at ell 8, k 4).
 
 Move m = ell + j fixes every band's tally on color j, and every clause on
 color j reads only those and the tallies on color j - 1, which the state
-after move m - 1 holds. So which columns of moves may follow, and which
-state each leads to, depends only on (m, s): admissibility._successors
-grows them with the clause step is_admissible replays, and returns only
-the next states. A column is read off its two states: path i+1 moves up
-at move m exactly where its up-count grows, nxt[i] = s[i] + 1.
+after move m - 1 holds. So which states may follow depends only on (m, s):
+admissibility._successors grows them with its clause step, for the moves
+1..ell the search takes. A column is read off its two states: path i+1
+moves up at move m exactly where its up-count grows, nxt[i] = s[i] + 1.
 
 The search meets in the middle at move ell. _last_layer is its one walk: it
 runs forward, one layer per move for moves 1..ell, each layer a dict from a
 state to what reaches it, added up over the states s that lead there, each
 passing on what it holds through carry(held, s, nxt); each (m, s)'s
-successors are grown once, and nothing recurses. Reflecting every
-path swaps colors j and -j and keeps the state after move ell, so it sends
-the clause at color j > 0, which reads colors j and j - 1, to the clause at
-color -j + 1, and the diagonal after move m > ell to the one after
-2 * ell - m. The admissible second halves out of a state s are thus exactly
-the mirrors of the first halves that reach s, and the admissible sequences
-are the pairs (h, g) of first halves that reach one state, h followed by g
+successors are grown once, and nothing recurses. By the reflection
+argument in admissibility's docstring, the admissible sequences are the
+pairs (h, g) of first halves that reach one state, h followed by g
 mirrored.
 
 The lists carry prefixes: _halves_by_state groups the first halves by the
@@ -77,7 +72,7 @@ def _last_layer(ell: int, k: int, start, carry: Callable) -> dict[tuple[int, ...
     for m in range(1, ell + 1):
         grown: dict[tuple[int, ...], object] = {}
         for s, held in layer.items():
-            for nxt in _successors(ell, m, s):
+            for nxt in _successors(m, s):
                 grown[nxt] = iadd(grown[nxt], carry(held, s, nxt)) if nxt in grown else carry(held, s, nxt)
         layer = grown
     return layer

@@ -8,8 +8,9 @@ to (ell, 0) in unit right and up moves; a path is its move string.
 After m moves a path sits on the (m - ell)-diagonal, so the number of boxes
 of color j = m - ell below it equals its up-move count at move ell + j,
 minus max(j, 0). Band tallies are therefore differences of up-move prefix
-counts: the admissibility step tests each color's clauses on them as soon
-as every path has taken ell + j moves. Those counts, up_prefix, are built
+counts: admissibility's step tests the clauses on a color j <= 0 on them
+once every path has taken ell + j moves, and reads the colors past 0 off
+the mirror, as its docstring argues. Those counts, up_prefix, are built
 when each path is validated. path_leq reads them to check nesting when a
 PathSequence is built, is_admissible replays them as its up-count states,
 and color_counts reads the whole table off them in O(ell * k); no library

@@ -7,7 +7,9 @@ sample uniformly from complete populations instead of rebuilding them.
 The admissibility oracles re-state every clause directly in terms of box
 sets on the colored square, sharing no code with the implementation under
 test: they list the boxes and their colors themselves, and find the boxes
-below a path from the path's vertices.
+below a path from the path's vertices. The full walk's clause step,
+oracle_fits, re-states them on band tallies read off up-counts, at every
+color; it imports nothing private from latmult either.
 """
 
 import itertools
@@ -26,7 +28,6 @@ from latmult import (
     partitions_of,
     path_leq,
 )
-from latmult.admissibility import _successors
 
 settings.register_profile(
     "latmult",
@@ -186,17 +187,51 @@ def nested_sequences(ell, k):
     return [PathSequence(c) for c in chains]
 
 
+def oracle_bands(j, ups):
+    """Bands 1..len(ups) on color j from the up-counts ups after move
+    ell + j: path i has u - max(j, 0) boxes of color j below it, and a band
+    between two paths holds the difference."""
+    below = [u - max(j, 0) for u in ups]
+    return below[:1] + [b - a for a, b in zip(below, below[1:])]
+
+
+def oracle_fits(ell, m, s, ups):
+    """Oracle clause step at every color j = m - ell: whether paths
+    1..len(ups) may go from the up-counts s after move m - 1 to ups after
+    move m. Each stays on the square and nested, the first weakly below the
+    anti-diagonal, and every band i >= 2 they bound keeps the cap against
+    band i - 1 and the budget on color j, and monotonicity toward color 0
+    between colors j - 1 and j."""
+    j = m - ell
+    if any(u > ell or m - u > ell for u in ups) or any(a > b for a, b in zip(ups, ups[1:])):
+        return False
+    if 2 * ups[0] > m:
+        return False
+    now, before = oracle_bands(j, ups), oracle_bands(j - 1, s[:len(ups)])
+    for i in range(1, len(ups)):
+        if now[i] > now[i - 1] or now[i] > ell - abs(j) - now[0] - sum(now[:i]):
+            return False
+        if (now[i] > before[i]) if j > 0 else (before[i] > now[i]):
+            return False
+    return True
+
+
 def walked_admissible(ell, k):
-    """Oracle for the pairing of halves: grow every sequence one column per
-    move through all 2 * ell moves, with no state shared between halves.
-    Path i+1 moves up at move m exactly where its up-count grows."""
+    """Oracle for the pairing of halves: grow every sequence through all
+    2 * ell moves, each column one path at a time through oracle_fits, with
+    no state shared between sequences. Path i+1 moves up at move m exactly
+    where its up-count grows."""
     layer = [(("",) * (k - 1), (0,) * (k - 1))]
     for m in range(1, 2 * ell + 1):
-        layer = [
-            (tuple(p + ("U" if b > a else "R") for p, a, b in zip(moves, s, nxt)), nxt)
-            for moves, s in layer
-            for nxt in _successors(ell, m, s)
-        ]
+        grown = []
+        for moves, s in layer:
+            columns = [()]
+            for before in s:
+                columns = [c + (u,) for c in columns for u in (before, before + 1)
+                           if oracle_fits(ell, m, s, c + (u,))]
+            for nxt in columns:
+                grown.append((tuple(p + ("U" if b > a else "R") for p, a, b in zip(moves, s, nxt)), nxt))
+        layer = grown
     return [moves for moves, _ in layer]
 
 

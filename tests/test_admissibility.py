@@ -1,11 +1,13 @@
 """Admissibility of nested path sequences and their type partitions.
 
 The oracles are conftest's: a clause-by-clause transcription of the
-admissibility conditions in terms of box sets on the colored square,
-sharing no code with the implementation under test, run over every nested
-sequence.
+admissibility conditions in terms of box sets on the colored square, run
+over every nested sequence, and a clause step on band tallies at every
+color, oracle_fits, which the full walk and the search's check use. Neither
+shares code with the implementation under test.
 """
 
+import ast
 import copy
 import gc
 import inspect
@@ -26,14 +28,16 @@ from latmult import (
     reflect,
     sequence_type,
 )
-from latmult.admissibility import _column_fits, _successors
+from latmult.admissibility import _successors
 
 from conftest import (
     all_admissible,
+    all_partitions,
     nested_sequences,
     nested_sequences_st,
     oracle_admissible,
     oracle_diagonal,
+    oracle_fits,
     oracle_type,
     paths_st,
     walked_admissible,
@@ -80,13 +84,14 @@ class TestIsAdmissible:
         assert is_admissible(z) == oracle_admissible(z)
 
 
-class TestEveryNestedSequence:
-    """The predicate, the type and the search against the box-set oracle on
-    every nested sequence of a grid, not a sample."""
+NESTED_GRID = [(ell, k) for ell in range(1, 4) for k in range(2, 6)] + [(4, k) for k in range(2, 5)]
 
-    @pytest.mark.parametrize(
-        "ell, k", [(ell, k) for ell in range(1, 4) for k in range(2, 6)] + [(4, k) for k in range(2, 5)]
-    )
+
+class TestEveryNestedSequence:
+    """The predicate, the type, the search and the tests' full walk against
+    the box-set oracle on every nested sequence of a grid, not a sample."""
+
+    @pytest.mark.parametrize("ell, k", NESTED_GRID)
     def test_predicate_type_and_search_agree(self, ell, k):
         admissible = set()
         for z in nested_sequences(ell, k):
@@ -99,6 +104,15 @@ class TestEveryNestedSequence:
                 assert sequence_type(z) == sequence_type(mirror) == oracle_type(z)
                 admissible.add(z)
         assert admissible == set(enumerate_admissible(ell, k))
+
+    @pytest.mark.parametrize("ell, k", NESTED_GRID)
+    def test_full_walk_is_the_box_set_oracle(self, ell, k):
+        # walked_admissible's clause step, oracle_fits, reads tallies off
+        # up-counts; the box-set oracle lists boxes: two transcriptions agree
+        walked = walked_admissible(ell, k)
+        assert len(walked) == len(set(walked))
+        assert set(walked) == {tuple(p.moves for p in z.paths) for z in nested_sequences(ell, k)
+                               if oracle_admissible(z)}
 
 
 class TestSequenceType:
@@ -213,9 +227,10 @@ class TestVerdictCache:
 
 
 class TestColumnTable:
-    """Whether a column passes every clause depends only on (ell, m, s, ups),
-    so _evaluate looks it up in the table of the one cell (ell, k) it last
-    met and replays it through _fits only on its first meeting there.
+    """Whether a column passes depends only on (ell, m, s, ups), so _evaluate
+    looks it up in the table of the one cell (ell, k) it last met and asks
+    _column_passes only on its first meeting there: _successors directly at
+    moves <= ell, the mirror's move read backwards past them.
     TestEveryNestedSequence checks the table's verdicts on whole grids."""
 
     def test_holds_one_cell_at_a_time(self):
@@ -234,12 +249,14 @@ class TestColumnTable:
 
         assert is_admissible(PathSequence((LatticePath("RU"),)))  # another cell: (3, 3) starts afresh
         replayed = []
-        real = admissibility._column_fits
-        monkeypatch.setattr(admissibility, "_column_fits", lambda *a: replayed.append(a[1:]) or real(*a))
-        failing = (4, (1, 1), (1, 2))  # band 2's tally at color 1 exceeds band 1's
+        real = admissibility._column_passes
+        monkeypatch.setattr(admissibility, "_column_passes", lambda *a: replayed.append(a[1:]) or real(*a))
+        # band 2 tallies 0 on color 0 and 1 on color 1: read backwards, the
+        # mirror's move 3 out of (0, 1) breaks monotonicity toward color 0
+        failing = (4, (1, 1), (1, 2))
         first = PathSequence((LatticePath("RURRUU"), LatticePath("RURUUR")))
         assert not is_admissible(first)
-        assert replayed[-1] == failing  # not yet in the table: replayed, and the replay fails
+        assert replayed[-1] == failing  # not yet in the table: asked, and the column fails
         assert admissibility._CELL[3, 3][0][failing] is False
         second = PathSequence((LatticePath("RRURUU"), LatticePath("RRUUUR")))
         before = len(replayed)
@@ -250,55 +267,100 @@ class TestColumnTable:
             with pytest.raises(ValueError):
                 sequence_type(z)
 
+    def test_a_column_past_move_ell_fails_through_the_mirror(self, monkeypatch):
+        import latmult.admissibility as admissibility
+
+        asked = []
+        real = admissibility._successors
+        monkeypatch.setattr(admissibility, "_successors", lambda *a: asked.append(a) or real(*a))
+        monkeypatch.setattr(admissibility, "_CELL", {})
+        p = LatticePath("RURUUR")  # crosses the anti-diagonal at move 5 alone: 3 up moves, 2 right
+        z = PathSequence((p, p))
+        assert not is_admissible(z)
+        assert not oracle_admissible(z)
+        # each column is asked as the one column to grow; moves 4, 5 and 6 as
+        # the mirror's moves 3, 2 and 1 read backwards, and the mirror's
+        # move 1 takes (0, 0) to (1, 1), above the anti-diagonal
+        assert asked == [
+            (1, (0, 0), (0, 0)), (2, (0, 0), (1, 1)), (3, (1, 1), (1, 1)),
+            (3, (1, 1), (1, 1)), (2, (1, 1), (1, 1)), (1, (0, 0), (1, 1)),
+        ]
+        assert admissibility._CELL[3, 3][0] == {
+            (1, (0, 0), (0, 0)): True, (2, (0, 0), (1, 1)): True, (3, (1, 1), (1, 1)): True,
+            (4, (1, 1), (2, 2)): True, (5, (2, 2), (3, 3)): True, (6, (3, 3), (3, 3)): False,
+        }
+
 
 class TestSuccessors:
     """The search grows a column one path at a time and keeps only the next
-    state; the replay checks a whole column at once. Both ask _fits, and on
-    every state the full 2 * ell walk meets they pass the same columns."""
+    state. The replay here is the test's own: every 0/1 column out of a
+    state, checked through conftest's oracle_fits, which shares no code with
+    _fits. On every state the search reaches by move ell both pass the same
+    columns, the search names each once, and asked about one column, as
+    is_admissible asks, it answers that column or nothing."""
 
-    @pytest.mark.parametrize("ell, k", [(ell, k) for ell in range(1, 7) for k in range(2, 6)])
+    @pytest.mark.parametrize("ell, k", [(ell, k) for ell in range(1, 8) for k in range(2, 7)])
     def test_successors_are_the_columns_the_replay_passes(self, ell, k):
         layer = {(0,) * (k - 1)}
-        for m in range(1, 2 * ell + 1):
+        for m in range(1, ell + 1):
             grown = set()
             for s in layer:
-                columns = (tuple(u + b for u, b in zip(s, bits))
-                           for bits in itertools.product((0, 1), repeat=k - 1))
-                passing = [ups for ups in columns if _column_fits(ell, m, s, ups)]
-                nxt = _successors(ell, m, s)
+                columns = [tuple(u + b for u, b in zip(s, bits))
+                           for bits in itertools.product((0, 1), repeat=k - 1)]
+                passing = [ups for ups in columns if oracle_fits(ell, m, s, ups)]
+                nxt = _successors(m, s)
                 assert sorted(nxt) == sorted(passing), (m, s)  # each passing column once
+                assert all(_successors(m, s, ups) == [ups] * (ups in passing) for ups in columns), (m, s)
                 grown.update(nxt)
             layer = grown
-        assert layer == {(ell,) * (k - 1)}  # every path ends with ell up moves
+        assert len(layer) == len(all_partitions(ell, k))  # one state after move ell per type
+
+
+class TestOneClauseStep:
+    def test_only_successors_calls_fits(self):
+        import latmult.admissibility as admissibility
+
+        def names(node):
+            return [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "_fits"]
+
+        tree = ast.parse(inspect.getsource(admissibility))
+        search = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_successors")
+        called = [c.func for c in ast.walk(search) if isinstance(c, ast.Call)]
+        assert names(search) and names(tree) == names(search)  # no reference outside _successors
+        assert all(n in called for n in names(search))  # and each one a call
 
 
 # (clause, its text in _fits, the text that drops it, what changes, the cell)
 CLAUSE_EDITS = [
     ("anti-diagonal", "if 2 * u > m:", "if False:", "count", (1, 2)),
-    ("cap", "t <= prev and ", "", "count", (1, 3)),
-    ("budget", "t <= room and ", "", "count", (4, 3)),
-    ("band-1-counts-twice", "ell - abs(j) - 2 * t", "ell - abs(j) - t", "count", (4, 3)),
-    ("monotonicity-up-to-color-0", "left <= t if j <= 0", "True if j <= 0", "count", (2, 3)),
-    ("monotonicity-past-color-0", "else t <= left", "else True", "verdict", (4, 3)),
-    ("move-exhaustion", "if u > ell or m - u > ell:", "if False:", "walk", (1, 2)),
+    ("cap", " <= prev", "", "count", (1, 3)),
+    ("budget", " and t <= room", "", "count", (4, 3)),
+    ("band-1-counts-twice", "m - 2 * u", "m - u", "count", (4, 3)),
+    ("monotonicity-up-to-color-0", "left <= ", "", "count", (2, 3)),
+    ("monotonicity-past-color-0", "left <= ", "", "verdict", (4, 3)),
 ]
 
 
 class TestEveryClauseMatters:
-    """Each clause left in _fits decides an outcome of the caller it serves:
-    a copy of _fits with the clause cut from its source changes the search's
-    count, is_admissible against the box-set oracle on nested sequences, or
-    the full 2 * ell walk, at the named cell. The search stops at move ell,
-    so monotonicity at j > 0 shows only in the replay, and exhaustion only
-    in the full walk."""
+    """Each clause in _fits decides an outcome: a copy of _fits with the
+    clause cut from its source changes the search's count, or is_admissible
+    against the box-set oracle, at the named cell. The verdicts are taken
+    on the nested sequences whose first ell moves pass oracle_fits, so a
+    change there comes from the last ell moves, which the replay reads
+    through the mirror: monotonicity past color 0 is the clause toward
+    color 0 read backwards."""
 
     @staticmethod
     def outcome(what, ell, k):
         if what == "count":
             return count_sequences(ell, k)
-        if what == "verdict":  # fresh public sequences, so each is evaluated
-            return [z for z in nested_sequences(ell, k) if is_admissible(z) != oracle_admissible(z)]
-        return sorted(walked_admissible(ell, k))
+        changed = []
+        for z in nested_sequences(ell, k):  # fresh public sequences, so each is evaluated
+            states = list(zip(*(p.up_prefix for p in z.paths)))
+            if all(oracle_fits(ell, m, states[m - 1], states[m]) for m in range(1, ell + 1)):
+                if is_admissible(z) != oracle_admissible(z):
+                    changed.append(z)
+        return changed
 
     @staticmethod
     def patch_fits(monkeypatch, old, new):
