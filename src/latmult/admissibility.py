@@ -21,10 +21,11 @@ two meet at the state after move ell, and the mirror's move ell + 1 - c
 is the sequence's move ell + c read backwards: where that goes from s to
 ups, the mirror goes from ups shifted by -c to s shifted by 1 - c. The
 mirror's colors <= 0 are the sequence's colors >= 0, so a sequence is
-admissible exactly when its first ell moves and its mirror's pass _fits.
-This is the one statement of that argument. enumeration pairs first halves
-that reach one state on it, and is_admissible's replay reads a sequence's
-last ell moves through it.
+admissible exactly when its first ell moves and its mirror's pass _fits,
+and a column passes exactly when its mirror column does. This is the one
+statement of that argument. enumeration pairs first halves that reach one
+state on it, and is_admissible's replay answers each column and its
+mirror with one ask.
 
 The verdict (the type, read off the state after move ell, or None when
 inadmissible) is evaluated on a sequence's first query and kept on it as
@@ -39,20 +40,20 @@ column passes depends only on (ell, m, s, ups), the move, the state before
 it and the up-counts after it, and the type only on the state after move
 ell. So _evaluate replays the paths' up_prefix tables (built when each
 path is validated) move by move over all 2 * ell moves, and keeps two
-tables for the one cell it last met: each column met, failing ones
-included, to whether it passes, and each state after move ell to its
-Partition. A column is asked of _successors once, on its first meeting in
-the cell, as the one column it grows: directly at moves <= ell, and
-through the mirror past them. A type is built once per state. The tables
-hold one cell at a time because the library's work comes cell by cell
-(verify checks one, then the next) and repeats only within it: a sequence
-of another cell starts fresh tables, and that bounds them with no size
-constant. The trade is memory: the last cell's tables stay until another
-cell is evaluated, at most 2 * ell entries per sequence evaluated there
-and in practice far fewer (a verify pass over (6,5), (5,6), (5,5) and
-(4,7) meets 1 762 distinct columns in 41 562 and 293 states in 3 909
-sequences). Every entry is a pure function of its key and cell, so two
-threads that race on a table only repeat work.
+tables for the one cell it last met: each column met and its mirror,
+failing ones included, to whether they pass, and each state after move
+ell to its Partition. A column and its mirror share one ask of
+_successors, on the first meeting of either in the cell, about the one at
+a move <= ell as the one column it grows. A type is built once per state.
+The tables hold one cell at a time because the library's work comes cell
+by cell (verify checks one, then the next) and repeats only within it: a
+sequence of another cell starts fresh tables, and that bounds them with no
+size constant. The trade is memory: the last cell's tables stay until
+another cell is evaluated, at most 4 * ell entries per sequence evaluated
+there and in practice far fewer (a verify pass over (6,5), (5,6), (5,5)
+and (4,7) meets 1 762 distinct columns in 41 562, answered by 881 asks, and
+293 states in 3 909 sequences). Every entry is a pure function of its key
+and cell, so two threads that race on a table only repeat work.
 """
 
 from latmult.partitions import Partition
@@ -100,25 +101,16 @@ def _successors(m: int, s: tuple[int, ...], ups: tuple[int, ...] | None = None) 
 
 
 # (ell, k) -> (columns, types) of the one cell last evaluated: columns maps
-# (m, s, ups) to whether that column passes, as _column_passes answers,
-# types maps a state after move ell to its type
+# (m, s, ups) and its mirror, stored together from one ask, to whether they
+# pass; types maps a state after move ell to its type
 _CELL: dict[tuple[int, int], tuple[dict, dict]] = {}
-
-
-def _column_passes(ell: int, m: int, s: tuple[int, ...], ups: tuple[int, ...]) -> bool:
-    """Whether the column taking state s to ups at move m passes: asked of
-    _successors directly at m <= ell; past move ell, with c = m - ell, as
-    the mirror's move ell + 1 - c read backwards (see the module docstring)."""
-    if m <= ell:
-        return bool(_successors(m, s, ups))
-    c = m - ell
-    return bool(_successors(ell + 1 - c, tuple([u - c for u in ups]), tuple([u + 1 - c for u in s])))
 
 
 def _evaluate(z: PathSequence) -> Partition | None:
     """The type of z, or None when z is inadmissible: z's up-count states,
     states[m] the paths' up-counts after move m, each column looked up in
-    the cell's table and asked of _column_passes on its first meeting."""
+    the cell's table. On a miss, _successors is asked about the column or
+    its mirror, whichever is at a move <= ell, and the answer kept for both."""
     ell = z.ell
     tables = _CELL.get((ell, z.k))
     if tables is None:  # a new cell's tables replace the last cell's
@@ -129,7 +121,10 @@ def _evaluate(z: PathSequence) -> Partition | None:
     for key in zip(range(1, 2 * ell + 1), states, states[1:]):
         fits = columns.get(key)
         if fits is None:
-            fits = columns[key] = _column_passes(ell, *key)
+            m, s, ups = key
+            c = m - ell
+            mirror = (ell + 1 - c, tuple([u - c for u in ups]), tuple([u + 1 - c for u in s]))
+            fits = columns[key] = columns[mirror] = bool(_successors(*(key if c <= 0 else mirror)))
         if not fits:
             return None
     lam = types.get(states[ell])

@@ -2,12 +2,15 @@
 
 Each cmd_* handler returns its exit code, its JSON document and its TSV
 lines; main alone picks the format and writes stdout in one write, only
-after the verb has finished. So exits 2, 3 and 4 leave stdout empty; 141
-means the reader left while that write was under way.
+after the verb has finished. So exits 2, 3 and 4 leave stdout empty, as
+does 130 on an interrupt before that write; 141 means the reader left
+while that write was under way.
 
 Exit codes: 0 success (verify: all checks passed), 1 verification failure,
 2 usage or input error, 3 resource guard rejection, 4 internal error (one
-stderr line), 141 quietly when the reader closes stdout early (as SIGPIPE).
+stderr line), 130 on SIGINT (one stderr line, "interrupted"; the status a
+shell gives a process ended by SIGINT), 141 quietly when the reader closes
+stdout early (as SIGPIPE).
 Exit 2 for count paths --per-shape --method formula: the per-shape table
 comes from the path search alone. Only count paths takes --per-shape;
 count self-conjugate --per-shape exits 2. Only map tau takes --k; map
@@ -46,6 +49,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
 # map tau builds k-1 paths of 2*ell moves, in time and memory linear in
@@ -293,6 +297,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception as exc:
         first_line = str(exc).partition("\n")[0]
         print(f"internal error: {type(exc).__name__}: {first_line}", file=sys.stderr)

@@ -228,10 +228,11 @@ class TestVerdictCache:
 
 class TestColumnTable:
     """Whether a column passes depends only on (ell, m, s, ups), so _evaluate
-    looks it up in the table of the one cell (ell, k) it last met and asks
-    _column_passes only on its first meeting there: _successors directly at
-    moves <= ell, the mirror's move read backwards past them.
-    TestEveryNestedSequence checks the table's verdicts on whole grids."""
+    looks it up in the table of the one cell (ell, k) it last met. A column
+    and its mirror pass together, so on a miss _successors is asked once,
+    about the one of the pair at a move <= ell, and the answer is stored
+    under both. TestEveryNestedSequence checks the table's verdicts on
+    whole grids."""
 
     def test_holds_one_cell_at_a_time(self):
         import latmult.admissibility as admissibility
@@ -249,19 +250,19 @@ class TestColumnTable:
 
         assert is_admissible(PathSequence((LatticePath("RU"),)))  # another cell: (3, 3) starts afresh
         replayed = []
-        real = admissibility._column_passes
-        monkeypatch.setattr(admissibility, "_column_passes", lambda *a: replayed.append(a[1:]) or real(*a))
+        real = admissibility._successors
+        monkeypatch.setattr(admissibility, "_successors", lambda *a: replayed.append(a) or real(*a))
         # band 2 tallies 0 on color 0 and 1 on color 1: read backwards, the
         # mirror's move 3 out of (0, 1) breaks monotonicity toward color 0
-        failing = (4, (1, 1), (1, 2))
+        failing, mirror = (4, (1, 1), (1, 2)), (3, (0, 1), (1, 1))
         first = PathSequence((LatticePath("RURRUU"), LatticePath("RURUUR")))
         assert not is_admissible(first)
-        assert replayed[-1] == failing  # not yet in the table: asked, and the column fails
-        assert admissibility._CELL[3, 3][0][failing] is False
+        assert replayed[-1] == mirror  # not yet in the table: its mirror is asked, and fails
+        assert admissibility._CELL[3, 3][0][failing] is admissibility._CELL[3, 3][0][mirror] is False
         second = PathSequence((LatticePath("RRURUU"), LatticePath("RRUUUR")))
         before = len(replayed)
         assert not is_admissible(second)
-        assert failing not in replayed[before:]  # read off the table
+        assert mirror not in replayed[before:]  # read off the table
         for z in (first, second):
             assert not oracle_admissible(z)
             with pytest.raises(ValueError):
@@ -278,17 +279,41 @@ class TestColumnTable:
         z = PathSequence((p, p))
         assert not is_admissible(z)
         assert not oracle_admissible(z)
-        # each column is asked as the one column to grow; moves 4, 5 and 6 as
-        # the mirror's moves 3, 2 and 1 read backwards, and the mirror's
-        # move 1 takes (0, 0) to (1, 1), above the anti-diagonal
+        # each column is asked as the one column to grow, and answers for its
+        # mirror too: move 4 is the mirror of move 3's column, a table hit;
+        # moves 5 and 6 are asked as the mirror's moves 2 and 1 read
+        # backwards, and the mirror's move 1 takes (0, 0) to (1, 1), above
+        # the anti-diagonal
         assert asked == [
             (1, (0, 0), (0, 0)), (2, (0, 0), (1, 1)), (3, (1, 1), (1, 1)),
-            (3, (1, 1), (1, 1)), (2, (1, 1), (1, 1)), (1, (0, 0), (1, 1)),
+            (2, (1, 1), (1, 1)), (1, (0, 0), (1, 1)),
         ]
         assert admissibility._CELL[3, 3][0] == {
-            (1, (0, 0), (0, 0)): True, (2, (0, 0), (1, 1)): True, (3, (1, 1), (1, 1)): True,
-            (4, (1, 1), (2, 2)): True, (5, (2, 2), (3, 3)): True, (6, (3, 3), (3, 3)): False,
+            (1, (0, 0), (0, 0)): True, (6, (2, 2), (3, 3)): True,
+            (2, (0, 0), (1, 1)): True, (5, (2, 2), (2, 2)): True,
+            (3, (1, 1), (1, 1)): True, (4, (1, 1), (2, 2)): True,
+            (5, (2, 2), (3, 3)): True, (2, (1, 1), (1, 1)): True,
+            (6, (3, 3), (3, 3)): False, (1, (0, 0), (1, 1)): False,
         }
+
+    @pytest.mark.parametrize("ell, k", [(4, 3), (3, 4), (5, 2)])
+    def test_a_column_and_its_mirror_share_one_answer(self, monkeypatch, ell, k):
+        import latmult.admissibility as admissibility
+
+        def mirror(m, s, ups):
+            c = m - ell
+            return ell + 1 - c, tuple(u - c for u in ups), tuple(u + 1 - c for u in s)
+
+        monkeypatch.setattr(admissibility, "_CELL", {})
+        for z in nested_sequences(ell, k):  # fresh public sequences, so each is evaluated
+            is_admissible(z)
+        columns = admissibility._CELL[ell, k][0]
+        assert columns
+        for key, fits in columns.items():
+            assert columns.get(mirror(*key)) is fits, key
+            assert mirror(*mirror(*key)) == key
+            asked = key if key[0] <= ell else mirror(*key)
+            assert fits == oracle_fits(ell, *asked), key
 
 
 class TestSuccessors:
@@ -314,6 +339,15 @@ class TestSuccessors:
                 grown.update(nxt)
             layer = grown
         assert len(layer) == len(all_partitions(ell, k))  # one state after move ell per type
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_each_layer_holds_one_state_per_partition(self, k):
+        # _successors reads no ell, so one walk gives the layer after every
+        # move m; count_by_type's one state per type rests on this count
+        layer = {(0,) * (k - 1)}
+        for m in range(1, 25):
+            layer = {nxt for s in layer for nxt in _successors(m, s)}
+            assert len(layer) == len(all_partitions(m, k)), m
 
 
 class TestOneClauseStep:

@@ -5,8 +5,10 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -17,6 +19,7 @@ from latmult.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_GUARD,
     EXIT_INTERNAL,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
@@ -846,6 +849,35 @@ class TestUnexpectedErrors:
             os.close(write_end)
         assert proc.returncode == EXIT_BROKEN_PIPE
         assert proc.stderr == b""
+
+    def test_interrupt_is_one_stderr_line(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "latmult", "map", "tau"],
+            stdin=subprocess.PIPE,  # open and empty: map blocks reading it
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            wchan = f"/proc/{proc.pid}/wchan"
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    with open(wchan) as f:
+                        waiting = f.read()
+                except FileNotFoundError:
+                    pytest.skip(f"no {wchan} to tell when the process blocks reading stdin")
+                if "pipe_read" in waiting:
+                    break
+                assert proc.poll() is None and time.monotonic() < deadline, "never blocked reading stdin"
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == EXIT_INTERRUPTED
+        assert out == b""
+        assert err == b"interrupted\n"
 
 
 class TestStdoutContract:

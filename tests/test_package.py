@@ -53,6 +53,15 @@ def test_readme_library_example_runs():
     exec(compile(block.group(1), "README.md", "exec"), {})
 
 
+def test_readme_names_every_exit_code():
+    """README's "Exit codes" paragraph names each cli.EXIT_* value as code."""
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("\nExit codes: ", 1)[1].split("\n\n", 1)[0]
+    codes = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert len(codes) >= 7
+    assert [name for name, value in codes.items() if f"`{value}`" not in paragraph] == []
+
+
 def test_version_matches_pyproject():
     # a regex, not tomllib: Python 3.10 has no tomllib
     pyproject = (ROOT / "pyproject.toml").read_text()
