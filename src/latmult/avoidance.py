@@ -16,12 +16,18 @@ letters, and the next letter is row-inserted into them). So it sums
 tableaux forward, one layer per letter placed, and reads the tableau
 height; each row is a bitset of its letters, packed with the others into
 one int per tableau, and a child differs from its parent only in the rows
-its bump chain touched. The two share no state. Each route has its own
-guard: 'brute' at ell <= BRUTE_GUARD_ELL, 'rsk' at ell <= RSK_GUARD_ELL.
+its bump chain touched. The two share no state, but one contract: each
+is a generator over (ell, k) that yields, after each letter placed, the
+words counted so far and the layer still open, and works out the r! of
+its layer itself. The piles number the insertion rows (Schensted), so
+after every letter the two agree on the total and on how many prefixes
+are open. Each route has its own guard: 'brute' at
+ell <= BRUTE_GUARD_ELL, 'rsk' at ell <= RSK_GUARD_ELL.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterator
 
 from latmult.guards import check_guard
@@ -101,8 +107,8 @@ def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
     return StandardTableau(p_rows), StandardTableau(q_rows)
 
 
-def _count_piles(ell: int, k: int, factorial: list[int]) -> int:
-    """Words of 1..ell with at most k patience piles, counted over states.
+def _pile_layers(ell: int, k: int) -> Iterator[tuple[int, dict[tuple[int, ...], int]]]:
+    """Words of 1..ell with at most k patience piles, summed over states.
 
     A state is (r, tops): r letters are left, and tops holds each pile's
     label, the number of unused letters below its top, negated as _pile
@@ -110,12 +116,15 @@ def _count_piles(ell: int, k: int, factorial: list[int]) -> int:
     top labelled i lies below that letter, as bisect_left on the negated
     keys has it), then every label above i drops by 1, as the letter is
     no longer unused. The states are summed forward, one layer per letter
-    placed, each carrying the number of prefixes that reach it.
+    placed, each carrying the number of prefixes that reach it. After each
+    letter placed, yields the words counted so far, r! for each prefix
+    closed by the shortcut, and the layer of states still open.
     """
     total = 0
     layer: dict[tuple[int, ...], int] = {(): 1}  # tops -> prefixes reaching them
     for left in range(ell, 0, -1):
         last = left - 1
+        fact = factorial(last)
         below: dict[tuple[int, ...], int] = {}
         for tops, ways in layer.items():
             for i in range(left):
@@ -123,18 +132,16 @@ def _count_piles(ell: int, k: int, factorial: list[int]) -> int:
                 _pile(tails, i)
                 height = len(tails)
                 if height + last <= k:
-                    total += ways * factorial[last]
+                    total += ways * fact
                 elif height <= k:
                     cut = -i
                     key = tuple(t + 1 if t < cut else t for t in tails)
                     below[key] = below.get(key, 0) + ways
         layer = below
-    return total
+        yield total, layer
 
 
-def _tableau_layers(
-    ell: int, k: int, factorial: list[int], start: int = 0
-) -> Iterator[tuple[int, dict[int, int]]]:
+def _tableau_layers(ell: int, k: int, start: int = 0) -> Iterator[tuple[int, dict[int, int]]]:
     """The forward sum over insertion tableaux, one layer per letter placed.
 
     What a prefix can still become depends only on its insertion rows: the
@@ -159,6 +166,7 @@ def _tableau_layers(
     layer = {start: 1}  # packed rows -> prefixes reaching them
     for left in range(ell - start.bit_count(), 0, -1):
         last = left - 1
+        fact = factorial(last)
         below: dict[int, int] = {}
         get = below.get
         for state, ways in layer.items():
@@ -169,7 +177,7 @@ def _tableau_layers(
                 rest >>= width
             height = len(rows)
             top = height * width  # the shift of a new last row
-            done = ways * factorial[last]
+            done = ways * fact
             same_done = height + last <= k
             grown_done = height + 1 + last <= k
             free = full ^ sum(rows)
@@ -200,15 +208,6 @@ def _tableau_layers(
         yield total, layer
 
 
-def _count_words(ell: int, k: int, factorial: list[int]) -> int:
-    """Words of 1..ell with at most k insertion rows, counted over tableaux
-    by _tableau_layers; the count is its total once every letter is placed."""
-    total = 0
-    for total, _ in _tableau_layers(ell, k, factorial):
-        pass
-    return total
-
-
 def count_avoiders(ell: int, k: int, method: str = "formula", *, allow_large: bool = False) -> int:
     """Permutations of 1..ell with no decreasing subsequence of length k+1.
 
@@ -218,24 +217,24 @@ def count_avoiders(ell: int, k: int, method: str = "formula", *, allow_large: bo
     is the tableau height), and 'formula' sums the squared tableau counts
     f_lambda (syt_sum_squares).
     Both slow routes drop a prefix whose statistic is above k, and count r!
-    at once for a prefix at h with r letters left when h + r <= k. They
-    agree; the slow routes exist as checks, and past ell = BRUTE_GUARD_ELL
+    at once for a prefix at h with r letters left when h + r <= k; the
+    count is the total its walk yields after the last letter. They agree;
+    the slow routes exist as checks, and past ell = BRUTE_GUARD_ELL
     ('brute') or RSK_GUARD_ELL ('rsk') they need allow_large.
     """
     _check_ell_k(ell, k)
     if method == "formula":
         return syt_sum_squares(ell, k)
-    routes = {"brute": (_count_piles, BRUTE_GUARD_ELL), "rsk": (_count_words, RSK_GUARD_ELL)}
+    routes = {"brute": (_pile_layers, BRUTE_GUARD_ELL), "rsk": (_tableau_layers, RSK_GUARD_ELL)}
     if method not in routes:
         raise ValueError(f"unknown method {method!r}: choose brute, rsk, or formula")
-    count, guard_ell = routes[method]
+    walk, guard_ell = routes[method]
     check_guard(
         ell <= guard_ell,
         allow_large,
         f"method {method!r} at ell={ell} exceeds its guard (ell <= {guard_ell}); "
         f"method='formula' computes the same count directly",
     )
-    factorial = [1]
-    for r in range(1, ell + 1):
-        factorial.append(factorial[-1] * r)
-    return count(ell, k, factorial)
+    for total, _ in walk(ell, k):
+        pass  # one layer alive at a time
+    return total

@@ -14,14 +14,15 @@ admissibility._successors grows them with its clause step, for the moves
 1..ell the search takes. A column is read off its two states: path i+1
 moves up at move m exactly where its up-count grows, nxt[i] = s[i] + 1.
 
-The search meets in the middle at move ell. _last_layer is its one walk: it
-runs forward, one layer per move for moves 1..ell, each layer a dict from a
-state to what reaches it, added up over the states s that lead there, each
-passing on what it holds through carry(held, s, nxt); each (m, s)'s
-successors are grown once, and nothing recurses. By the reflection
-argument in admissibility's docstring, the admissible sequences are the
-pairs (h, g) of first halves that reach one state, h followed by g
-mirrored.
+The search meets in the middle at move ell. _layers is its one walk: it
+runs forward and yields one layer per move for moves 1..ell, each layer a
+dict from a state to what reaches it, added up over the states s that lead
+there, each passing on what it holds through carry(held, s, nxt); each
+(m, s)'s successors are grown once, and nothing recurses. The layer after
+move m is the one a walk to m alone would end on, so one walk gives every
+move; the callers here read the last. By the reflection argument in
+admissibility's docstring, the admissible sequences are the pairs (h, g)
+of first halves that reach one state, h followed by g mirrored.
 
 The lists carry prefixes: _halves_by_state groups the first halves by the
 state they reach, appending to each the column read off the two states
@@ -44,7 +45,7 @@ wrappers build PathSequence objects, through paths._sequence.
 """
 
 from operator import add, iadd
-from typing import Callable
+from typing import Callable, Iterator
 
 from latmult.admissibility import _successors, _type_parts
 from latmult.guards import check_guard
@@ -64,8 +65,8 @@ def _check_size(ell: int, k: int, allow_large: bool) -> None:
     )
 
 
-def _last_layer(ell: int, k: int, start, carry: Callable) -> dict[tuple[int, ...], object]:
-    """What reaches each up-count state after move ell, one layer per move:
+def _layers(ell: int, k: int, start, carry: Callable) -> Iterator[dict[tuple[int, ...], object]]:
+    """What reaches each up-count state, yielded after each move 1..ell:
     the start state holds start, carry(held, s, nxt) is what state s passes
     to its successor nxt, and what reaches a state is added up."""
     layer = {(0,) * (k - 1): start}
@@ -75,7 +76,7 @@ def _last_layer(ell: int, k: int, start, carry: Callable) -> dict[tuple[int, ...
             for nxt in _successors(m, s):
                 grown[nxt] = iadd(grown[nxt], carry(held, s, nxt)) if nxt in grown else carry(held, s, nxt)
         layer = grown
-    return layer
+        yield layer
 
 
 def _halves_by_state(ell: int, k: int) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
@@ -85,7 +86,9 @@ def _halves_by_state(ell: int, k: int) -> dict[tuple[int, ...], list[tuple[str, 
     def grow(held, s, nxt):
         column = ["U" if b > a else "R" for a, b in zip(s, nxt)]
         return [tuple(map(add, p, column)) for p in held]
-    return _last_layer(ell, k, [("",) * (k - 1)], grow)
+    for last in _layers(ell, k, [("",) * (k - 1)], grow):
+        pass  # one layer of halves alive at a time
+    return last
 
 
 def visit_admissible(ell: int, k: int, visit: Callable[[tuple[str, ...]], None]) -> None:
@@ -124,8 +127,8 @@ def count_sequences(ell: int, k: int, *, allow_large: bool = False) -> tuple[int
     """(admissible, self-conjugate) totals, not listed: g halves that reach
     one state pair into g * g admissible sequences, g of them self-conjugate."""
     _check_size(ell, k, allow_large)
-    counts = _last_layer(ell, k, 1, lambda g, s, nxt: g).values()
-    return sum(g * g for g in counts), sum(counts)
+    *_, last = _layers(ell, k, 1, lambda g, s, nxt: g)
+    return sum(g * g for g in last.values()), sum(last.values())
 
 
 def count_by_type(ell: int, k: int, *, allow_large: bool = False) -> dict[Partition, tuple[int, int]]:
@@ -137,6 +140,6 @@ def count_by_type(ell: int, k: int, *, allow_large: bool = False) -> dict[Partit
     Keys are exactly partitions_of(ell, k) in their canonical order.
     """
     _check_size(ell, k, allow_large)
-    reached = _last_layer(ell, k, 1, lambda g, s, nxt: g)
+    *_, reached = _layers(ell, k, 1, lambda g, s, nxt: g)
     tallies = {_type_parts(s, ell): (g * g, g) for s, g in reached.items()}
     return {lam: tallies[lam.parts] for lam in partitions_of(ell, k)}

@@ -27,8 +27,11 @@ from latmult import (
     is_admissible,
     reflect,
     sequence_type,
+    syt_sum,
+    syt_sum_squares,
 )
 from latmult.admissibility import _successors
+from latmult.enumeration import _layers
 
 from conftest import (
     all_admissible,
@@ -342,12 +345,16 @@ class TestSuccessors:
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_each_layer_holds_one_state_per_partition(self, k):
-        # _successors reads no ell, so one walk gives the layer after every
-        # move m; count_by_type's one state per type rests on this count
-        layer = {(0,) * (k - 1)}
-        for m in range(1, 25):
-            layer = {nxt for s in layer for nxt in _successors(m, s)}
+        # _successors reads no ell, so the library's one walk to move 24
+        # gives the layer after every move m; count_by_type's one state per
+        # type rests on this count, and each layer's halves pair into the
+        # hook sums for m
+        layers = _layers(24, k, 1, lambda g, s, nxt: g)
+        for m, layer in enumerate(layers, start=1):
             assert len(layer) == len(all_partitions(m, k)), m
+            counts = layer.values()
+            assert (sum(g * g for g in counts), sum(counts)) == (syt_sum_squares(m, k), syt_sum(m, k)), m
+        assert m == 24
 
 
 class TestOneClauseStep:

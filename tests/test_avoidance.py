@@ -2,7 +2,8 @@
 
 Oracles: a quadratic dynamic program for LDS, a cell-by-cell transcription
 of row insertion, the ballot-number recurrence for the k = 2 column, and
-direct standardness checks on insertion output.
+direct standardness checks on insertion output. The pile walk and the
+insertion-tableau walk check each other after every letter placed.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from latmult import (
     rsk,
     syt_sum_squares,
 )
-from latmult.avoidance import _tableau_layers
+from latmult.avoidance import _pile_layers, _tableau_layers
 
 from conftest import frames_in_use
 
@@ -89,8 +90,7 @@ def walk_children(prefix, ell):
     one row above the prefix's tableau, no child is pruned or closed by the
     r! count, so the layer holds every child the walk's step builds."""
     rows = oracle_rsk(prefix)[0]
-    factorial = [math.factorial(r) for r in range(ell + 1)]
-    total, layer = next(_tableau_layers(ell, len(rows) + 1, factorial, pack_rows(rows, ell)))
+    total, layer = next(_tableau_layers(ell, len(rows) + 1, pack_rows(rows, ell)))
     assert total == 0
     return layer
 
@@ -277,7 +277,7 @@ class TestCountAvoiders:
         for ell in range(1, 7):
             for k in range(2, 6):
                 total = 0
-                layers = _tableau_layers(ell, k, factorial)
+                layers = _tableau_layers(ell, k)
                 for placed, (walk_total, layer) in enumerate(layers, start=1):
                     prefixes = list(itertools.permutations(range(1, ell + 1), placed))
                     fates = {w: walk_fate(w, ell, k) for w in prefixes}
@@ -291,6 +291,17 @@ class TestCountAvoiders:
                     assert walk_total == total, (ell, k, placed)
                 assert placed == ell
                 assert total == syt_sum_squares(ell, k)
+
+    def test_pile_and_tableau_walks_agree_layer_by_layer(self):
+        # the number of piles is the number of insertion rows (Schensted),
+        # so after every letter placed the two walks have closed the same
+        # prefixes and left the same ones open, not only in the final count
+        for ell in range(1, 9):
+            for k in range(2, 7):
+                piles = [(total, sum(layer.values())) for total, layer in _pile_layers(ell, k)]
+                rows = [(total, sum(layer.values())) for total, layer in _tableau_layers(ell, k)]
+                assert len(piles) == ell
+                assert piles == rows, (ell, k)
 
     @given(st.integers(1, 7), st.integers(2, 7))
     def test_formula_is_square_sum(self, ell, k):

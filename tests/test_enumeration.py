@@ -161,13 +161,13 @@ class TestHalvesBuiltOnce:
         import latmult.enumeration as enumeration
 
         walks, builds, visits = [], [], []
-        real_walk = enumeration._last_layer
+        real_walk = enumeration._layers
 
         def walk(ell, k, start, carry):
             walks.append((ell, k))
             return real_walk(ell, k, start, carry)
 
-        monkeypatch.setattr(enumeration, "_last_layer", walk)
+        monkeypatch.setattr(enumeration, "_layers", walk)
         monkeypatch.setattr(enumeration, "_halves_by_state", lambda *args: builds.append(args))
         monkeypatch.setattr(enumeration, "visit_admissible", lambda *args: visits.append(args))
         got = count(6, 4)

@@ -2,8 +2,9 @@
 example runs as written, the two version strings agree, a guard is lifted
 only by the call's own allow_large, never by the environment, and the value
 types refuse bad input with fixed messages and keep what they derive out of
-their fields."""
+their fields. Every private helper in the package has a caller."""
 
+import ast
 import dataclasses
 import io
 import re
@@ -139,3 +140,16 @@ def test_derived_value_outside_fields(value, field, derived, text):
 
 def test_up_prefix_built_by_the_constructor():
     assert vars(LatticePath("RURU"))["up_prefix"] == (0, 0, 1, 1, 2)
+
+
+def test_every_private_helper_is_loaded():
+    """Each module-level _-prefixed function in src/latmult is loaded by
+    name somewhere in the package: a helper a change left without a caller
+    fails here."""
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "latmult").glob("*.py"))]
+    helpers = [f.name for tree in trees for f in tree.body
+               if isinstance(f, ast.FunctionDef) and f.name.startswith("_")]
+    loaded = {n.id for tree in trees for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    assert helpers
+    assert [name for name in helpers if name not in loaded] == []
