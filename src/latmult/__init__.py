@@ -56,4 +56,4 @@ __all__ = sorted(
     if not name.startswith("_") and not isinstance(value, types.ModuleType)
 )
 
-__version__ = "0.6.8"
+__version__ = "0.6.9"

@@ -3,14 +3,13 @@
 After move m the paths' up-counts, the state s = (u_1, ..., u_{k-1}), hold
 every band's tally on color j = m - ell: path i has u_i - max(j, 0) boxes
 of that color below it, and a band between two paths tallies the
-difference. Every clause at a color j <= 0 is written once, in _fits, one
-path's step at one move m <= ell, where the state before the move holds
-color j - 1. _successors, its only caller, grows the columns of a move
-with it, one path at a time, and returns the next states alone, no move
-letter: a path moved up where its up-count grew. Nesting has no clause: a
-path that drops below its predecessor gives its band a negative tally,
-which fails monotonicity, and PathSequence has checked a replayed sequence
-nested.
+difference. Every clause at a color j <= 0 is written once, in
+_successors, which grows the columns of a move m <= ell one path at a
+time, the state before the move holding color j - 1, and returns the next
+states alone, no move letter: a path moved up where its up-count grew.
+Nesting has no clause: a path that drops below its predecessor gives its
+band a negative tally, which fails monotonicity, and PathSequence has
+checked a replayed sequence nested.
 
 The colors past 0 need no clause of their own. Reflecting every path
 across the anti-diagonal keeps the paths' order and the bands, swaps
@@ -21,11 +20,11 @@ two meet at the state after move ell, and the mirror's move ell + 1 - c
 is the sequence's move ell + c read backwards: where that goes from s to
 ups, the mirror goes from ups shifted by -c to s shifted by 1 - c. The
 mirror's colors <= 0 are the sequence's colors >= 0, so a sequence is
-admissible exactly when its first ell moves and its mirror's pass _fits,
-and a column passes exactly when its mirror column does. This is the one
-statement of that argument. enumeration pairs first halves that reach one
-state on it, and is_admissible's replay answers each column and its
-mirror with one ask.
+admissible exactly when its first ell moves and its mirror's pass those
+clauses, and a column passes exactly when its mirror column does. This is
+the one statement of that argument. enumeration pairs first halves that
+reach one state on it, and is_admissible's replay answers each column and
+its mirror with one ask.
 
 The verdict (the type, read off the state after move ell, or None when
 inadmissible) is evaluated on a sequence's first query and kept on it as
@@ -60,42 +59,29 @@ from latmult.partitions import Partition
 from latmult.paths import PathSequence
 
 
-def _fits(m: int, s: tuple[int, ...], i: int, lower: int, prev: int, room: int,
-          u: int) -> tuple[int, int] | None:
-    """Every clause at color j = m - ell <= 0, on path i+1 moving to up-count
-    u at move m out of state s (the up-counts after move m - 1), with path i
-    at lower after move m. prev is band i's tally on color j and room what
-    band i+1 may still spend there. Returns (band i+1's tally, room for
-    band i+2), or None at the first failing clause."""
-    if i == 0:
-        if 2 * u > m:  # first path may not cross the anti-diagonal
-            return None
-        return u, m - 2 * u  # ell - |j| boxes of color j; band 1 counts twice in every budget
-    t = u - lower
-    left = s[i] - s[i - 1]  # band i+1's tally on color j - 1 (0 at the first color)
-    # weak monotonicity toward color 0, the cap against band i, the budget
-    if not (left <= t <= prev and t <= room):
-        return None
-    return t, room - t
-
-
 def _successors(m: int, s: tuple[int, ...], ups: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:
     """The next states of move m <= ell out of state s whose columns pass
-    every clause: nxt[i] is path i+1's up-count after move m, so it moved up
-    where nxt[i] > s[i]. Given ups, only the column to ups is grown, and
-    the answer is [ups] or []. The column grows one path at a time, as
-    (up-counts so far, the last as the next path's lower, prev, room), and
-    is dropped at its first failing clause, so the 2**(k-1) product of
-    moves is never formed and no move letter is built."""
-    partial: list[tuple[tuple[int, ...], int, int, int]] = [((), 0, 0, 0)]
-    for i, before in enumerate(s):
-        choices = (before, before + 1) if ups is None else (ups[i],)
+    every clause at color j = m - ell: nxt[i] is path i+1's up-count after
+    move m, so it moved up where nxt[i] > s[i]. Given ups, only the column
+    to ups is grown, and the answer is [ups] or []. The column grows one
+    path at a time, as (up-counts so far, the last as the next path's
+    lower, the last band's tally on color j, what the next band may still
+    spend there), and is dropped at its first failing clause, so the
+    2**(k-1) product of moves is never formed and no move letter is built."""
+    # the first path may not cross the anti-diagonal; color j has ell - |j|
+    # boxes, and band 1 counts twice in every budget
+    first = (s[0], s[0] + 1) if ups is None else ups[:1]
+    partial = [((u,), u, u, m - 2 * u) for u in first if 2 * u <= m]
+    for i in range(1, len(s)):
+        left = s[i] - s[i - 1]  # band i+1's tally on color j - 1 (0 at the first color)
+        choices = (s[i], s[i] + 1) if ups is None else (ups[i],)
         grown = []
         for done, lower, prev, room in partial:
             for u in choices:
-                fit = _fits(m, s, i, lower, prev, room, u)
-                if fit is not None:
-                    grown.append((done + (u,), u) + fit)
+                t = u - lower
+                # weak monotonicity toward color 0, the cap against band i, the budget
+                if left <= t <= prev and t <= room:
+                    grown.append((done + (u,), u, t, room - t))
         partial = grown
     return [nxt for nxt, _, _, _ in partial]
 

@@ -40,7 +40,7 @@ from latmult.avoidance import count_avoiders, lds_length
 from latmult.bijections import sigma, tau
 from latmult.enumeration import count_by_type, count_sequences
 from latmult.guards import ResourceLimitError, check_guard
-from latmult.partitions import _check_ell_k, count_syt, partitions_of, syt_sum, syt_sum_squares
+from latmult.partitions import count_syt, partitions_of, syt_sum, syt_sum_squares
 from latmult.verify import render_report, run_verification
 from latmult.weights import gamma, multiplicity, weight_pairings
 
@@ -139,11 +139,12 @@ def _compact(values) -> str:
 
 
 def cmd_count_tableaux(args) -> Output:
+    if args.max_height < 2:  # checked here, where syt_sum's check would name it k
+        raise ValueError(f"--max-height must be >= 2, got {args.max_height}")
     meta = {"ell": args.ell, "max_height": args.max_height}
     if not args.per_shape:
         total = syt_sum(args.ell, args.max_height)
         return EXIT_OK, {**meta, "count": str(total)}, [total]
-    _check_ell_k(args.ell, args.max_height)  # the checks syt_sum makes
     rows = [(lam, count_syt(lam)) for lam in partitions_of(args.ell, args.max_height)]
     total = sum(f for _, f in rows)
     doc = {

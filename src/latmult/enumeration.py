@@ -5,13 +5,14 @@ grows like binomial(2*ell, ell)**(k-1). Instead all k-1 paths advance
 together, one move at a time. After move m the search is in the state
 s = (u_1, ..., u_{k-1}), the paths' up-move counts so far; nesting makes it
 weakly increasing, so a layer holds at most binomial(ell + k - 1, k - 1)
-states (15 at most at ell 8, k 4).
+states (165 at ell 8, k 4). The layer after move m holds far fewer: one
+state per partition of m with at most k parts (15 after move 8 at k 4).
 
 Move m = ell + j fixes every band's tally on color j, and every clause on
 color j reads only those and the tallies on color j - 1, which the state
 after move m - 1 holds. So which states may follow depends only on (m, s):
-admissibility._successors grows them with its clause step, for the moves
-1..ell the search takes. A column is read off its two states: path i+1
+admissibility._successors, which holds every clause, grows them for the
+moves 1..ell the search takes. A column is read off its two states: path i+1
 moves up at move m exactly where its up-count grows, nxt[i] = s[i] + 1.
 
 The search meets in the middle at move ell. _layers is its one walk: it
@@ -37,8 +38,8 @@ The counts carry a number: how many first halves reach each state, g, with
 no half built and no column read. Those halves are all of one type, and
 pair into g * g admissible sequences, g of them self-conjugate; a type has
 one state. So count_sequences and count_by_type hold one integer per
-state, at most binomial(ell + k - 1, k - 1) of them, and build no move
-letter.
+state, one per partition of m with at most k parts after move m, and
+build no move letter.
 
 The search hands raw move strings to its visitor; only the enumerate_*
 wrappers build PathSequence objects, through paths._sequence.
@@ -125,7 +126,9 @@ def enumerate_self_conjugate(ell: int, k: int, *, allow_large: bool = False) -> 
 
 def count_sequences(ell: int, k: int, *, allow_large: bool = False) -> tuple[int, int]:
     """(admissible, self-conjugate) totals, not listed: g halves that reach
-    one state pair into g * g admissible sequences, g of them self-conjugate."""
+    one state pair into g * g admissible sequences, g of them self-conjugate.
+    The walk holds one integer per state, and the layer after move m one
+    state per partition of m with at most k parts."""
     _check_size(ell, k, allow_large)
     *_, last = _layers(ell, k, 1, lambda g, s, nxt: g)
     return sum(g * g for g in last.values()), sum(last.values())

@@ -8,15 +8,16 @@ to (ell, 0) in unit right and up moves; a path is its move string.
 After m moves a path sits on the (m - ell)-diagonal, so the number of boxes
 of color j = m - ell below it equals its up-move count at move ell + j,
 minus max(j, 0). Band tallies are therefore differences of up-move prefix
-counts: admissibility's step tests the clauses on a color j <= 0 on them
-once every path has taken ell + j moves, and reads the colors past 0 off
-the mirror, as its docstring argues. Those counts, up_prefix, are built
-when each path is validated. path_leq reads them to check nesting when a
-PathSequence is built, is_admissible replays them as its up-count states,
-and color_counts reads the whole table off them in O(ell * k); no library
-route calls it. The same pass records self_conjugate, whether the path is
-its own reflection, so is_self_conjugate (and with it join's check of its
-inputs) reverses no move string.
+counts: admissibility._successors tests the clauses on a color j <= 0 on
+them once every path has taken ell + j moves, and the colors past 0 are
+read off the mirror, as admissibility's docstring argues. Those counts,
+up_prefix, are built when each path is validated. path_leq reads them to
+check nesting when a PathSequence is built, is_admissible replays them as
+its up-count states, and color_counts reads the whole table off them in
+O(ell * k); no library route calls it. The same pass records
+self_conjugate, whether the path is its own reflection, so
+is_self_conjugate (and with it join's check of its inputs) reverses no
+move string.
 
 Equal sequences built by the library are one object while any of them is
 alive. The enumerators, tau, split and join get theirs from _sequence, which

@@ -9,7 +9,8 @@ sets on the colored square, sharing no code with the implementation under
 test: they list the boxes and their colors themselves, and find the boxes
 below a path from the path's vertices. The full walk's clause step,
 oracle_fits, re-states them on band tallies read off up-counts, at every
-color; it imports nothing private from latmult either.
+color, where latmult's _successors holds only the clauses on the colors
+up to 0; it imports nothing private from latmult either.
 """
 
 import itertools

@@ -7,7 +7,6 @@ color, oracle_fits, which the full walk and the search's check use. Neither
 shares code with the implementation under test.
 """
 
-import ast
 import copy
 import gc
 import inspect
@@ -323,9 +322,9 @@ class TestSuccessors:
     """The search grows a column one path at a time and keeps only the next
     state. The replay here is the test's own: every 0/1 column out of a
     state, checked through conftest's oracle_fits, which shares no code with
-    _fits. On every state the search reaches by move ell both pass the same
-    columns, the search names each once, and asked about one column, as
-    is_admissible asks, it answers that column or nothing."""
+    _successors. On every state the search reaches by move ell both pass
+    the same columns, the search names each once, and asked about one
+    column, as is_admissible asks, it answers that column or nothing."""
 
     @pytest.mark.parametrize("ell, k", [(ell, k) for ell in range(1, 8) for k in range(2, 7)])
     def test_successors_are_the_columns_the_replay_passes(self, ell, k):
@@ -357,23 +356,9 @@ class TestSuccessors:
         assert m == 24
 
 
-class TestOneClauseStep:
-    def test_only_successors_calls_fits(self):
-        import latmult.admissibility as admissibility
-
-        def names(node):
-            return [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "_fits"]
-
-        tree = ast.parse(inspect.getsource(admissibility))
-        search = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_successors")
-        called = [c.func for c in ast.walk(search) if isinstance(c, ast.Call)]
-        assert names(search) and names(tree) == names(search)  # no reference outside _successors
-        assert all(n in called for n in names(search))  # and each one a call
-
-
-# (clause, its text in _fits, the text that drops it, what changes, the cell)
+# (clause, its text in _successors, the text that drops it, what changes, the cell)
 CLAUSE_EDITS = [
-    ("anti-diagonal", "if 2 * u > m:", "if False:", "count", (1, 2)),
+    ("anti-diagonal", "if 2 * u <= m", "if True", "count", (1, 2)),
     ("cap", " <= prev", "", "count", (1, 3)),
     ("budget", " and t <= room", "", "count", (4, 3)),
     ("band-1-counts-twice", "m - 2 * u", "m - u", "count", (4, 3)),
@@ -383,13 +368,13 @@ CLAUSE_EDITS = [
 
 
 class TestEveryClauseMatters:
-    """Each clause in _fits decides an outcome: a copy of _fits with the
-    clause cut from its source changes the search's count, or is_admissible
-    against the box-set oracle, at the named cell. The verdicts are taken
-    on the nested sequences whose first ell moves pass oracle_fits, so a
-    change there comes from the last ell moves, which the replay reads
-    through the mirror: monotonicity past color 0 is the clause toward
-    color 0 read backwards."""
+    """Each clause is written once, in _successors, and decides an outcome:
+    a copy of _successors with the clause cut from its source changes the
+    search's count, or is_admissible against the box-set oracle, at the
+    named cell. The verdicts are taken on the nested sequences whose first
+    ell moves pass oracle_fits, so a change there comes from the last ell
+    moves, which the replay reads through the mirror: monotonicity past
+    color 0 is the clause toward color 0 read backwards."""
 
     @staticmethod
     def outcome(what, ell, k):
@@ -404,25 +389,30 @@ class TestEveryClauseMatters:
         return changed
 
     @staticmethod
-    def patch_fits(monkeypatch, old, new):
+    def patch_successors(monkeypatch, old, new):
         import latmult.admissibility as admissibility
+        import latmult.enumeration as enumeration
 
-        source = inspect.getsource(admissibility._fits)
-        assert source.count(old) == 1, f"_fits no longer reads {old!r}; update CLAUSE_EDITS"
+        source = inspect.getsource(admissibility._successors)
+        # the module reads the clause once, and inside _successors
+        assert inspect.getsource(admissibility).count(old) == source.count(old) == 1, \
+            f"_successors no longer holds the one {old!r}; update CLAUSE_EDITS"
         namespace = dict(vars(admissibility))
         exec(source.replace(old, new), namespace)
-        monkeypatch.setattr(admissibility, "_fits", namespace["_fits"])
-        monkeypatch.setattr(admissibility, "_CELL", {})  # no column verdict from the real _fits
+        # enumeration imports _successors by name, so both modules get the copy
+        for module in (admissibility, enumeration):
+            monkeypatch.setattr(module, "_successors", namespace["_successors"])
+        monkeypatch.setattr(admissibility, "_CELL", {})  # no column verdict from the real _successors
 
     @pytest.mark.parametrize("old, new, what, cell", [e[1:] for e in CLAUSE_EDITS],
                              ids=[e[0] for e in CLAUSE_EDITS])
     def test_dropping_the_clause_changes_the_outcome(self, monkeypatch, old, new, what, cell):
         before = self.outcome(what, *cell)
-        self.patch_fits(monkeypatch, old, new)
+        self.patch_successors(monkeypatch, old, new)
         assert self.outcome(what, *cell) != before
 
     @pytest.mark.parametrize("what, cell", sorted({e[3:] for e in CLAUSE_EDITS}))
     def test_an_unedited_copy_changes_nothing(self, monkeypatch, what, cell):
         before = self.outcome(what, *cell)
-        self.patch_fits(monkeypatch, "return t, room - t", "return t, room - t")
+        self.patch_successors(monkeypatch, "room - t)", "room - t)")
         assert self.outcome(what, *cell) == before

@@ -494,6 +494,11 @@ USAGE_GOLDEN = [
         ),
         id="bare-map",
     ),
+    pytest.param(
+        "count tableaux --ell 3 --max-height 1",
+        b'error: --max-height must be >= 2, got 1\n',
+        id="max-height-below-2",
+    ),
 ]
 
 
