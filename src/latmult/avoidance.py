@@ -73,37 +73,27 @@ def lds_length(w: Permutation) -> int:
     return len(tails)
 
 
-def _row_insert(rows: list[list[int]], x: int) -> int:
-    """Schensted row insertion of x into rows, in place.
-
-    Each incomer bumps the smallest entry strictly greater than itself, and
-    the bumped entry carries to the next row. Returns the index of the row
-    that grew (a new last row when x fell off the bottom).
-    """
-    for i, row in enumerate(rows):
-        idx = bisect_right(row, x)  # smallest entry strictly greater
-        if idx == len(row):
-            row.append(x)
-            return i
-        row[idx], x = x, row[idx]
-    rows.append([x])
-    return len(rows) - 1
-
-
 def rsk(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
     """Row insertion of the word; returns the insertion and recording tableaux.
 
-    Each letter is row-inserted into the first tableau, and the cell it
-    adds is recorded in the second tableau with the insertion step number.
+    Each letter is row-inserted into the first tableau: an incomer bumps the
+    smallest entry strictly greater than itself, and the bumped entry carries
+    to the next row. The cell it adds (a new last row when it falls off the
+    bottom) is recorded in the second tableau with the insertion step number.
     """
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for step, x in enumerate(w.word, start=1):
-        grown = _row_insert(p_rows, x)
-        if grown == len(q_rows):
-            q_rows.append([step])
+        for p_row, q_row in zip(p_rows, q_rows):
+            idx = bisect_right(p_row, x)  # smallest entry strictly greater
+            if idx == len(p_row):
+                p_row.append(x)
+                q_row.append(step)
+                break
+            p_row[idx], x = x, p_row[idx]
         else:
-            q_rows[grown].append(step)
+            p_rows.append([x])
+            q_rows.append([step])
     return StandardTableau(p_rows), StandardTableau(q_rows)
 
 

@@ -251,6 +251,11 @@ def cmd_lds(args) -> Output:
 
 
 def cmd_verify(args) -> Output:
+    # checked here, where run_verification's checks would name ell_max and k_max
+    if args.ell_max < 1:
+        raise ValueError(f"--ell-max must be >= 1, got {args.ell_max}")
+    if args.k_max < 2:
+        raise ValueError(f"--k-max must be >= 2, got {args.k_max}")
     results = run_verification(args.ell_max, args.k_max, allow_large=args.allow_large)
     doc = {
         "checks": [

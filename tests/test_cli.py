@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from latmult import cli, syt_sum, syt_sum_squares
+from latmult import cli, syt_sum_squares
 from latmult.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_GUARD,
@@ -51,6 +51,12 @@ GOLDEN = [
         None, EXIT_OK,
         b'25\n',
         id="tableaux-tsv",
+    ),
+    pytest.param(
+        "count tableaux --ell 6 --max-height 5",
+        None, EXIT_OK,
+        b'75\n',
+        id="tableaux-tsv-ell-6",
     ),
     pytest.param(
         "count tableaux --ell 5 --max-height 4 --format json",
@@ -91,6 +97,18 @@ GOLDEN = [
         id="paths-json",
     ),
     pytest.param(
+        "count paths --ell 4 --k 3 --method formula",
+        None, EXIT_OK,
+        b'23\n',
+        id="paths-formula",
+    ),
+    pytest.param(
+        "count paths --ell 4 --k 3 --method brute",
+        None, EXIT_OK,
+        b'23\n',
+        id="paths-brute",
+    ),
+    pytest.param(
         "count paths --ell 3 --k 3 --per-shape",
         None, EXIT_OK,
         (
@@ -98,6 +116,15 @@ GOLDEN = [
             b'[2,1]\t2\t4\t4\t2\n[1,1,1]\t1\t1\t1\t1\n'
         ),
         id="paths-per-shape-tsv",
+    ),
+    pytest.param(
+        "count paths --ell 4 --k 3 --per-shape",
+        None, EXIT_OK,
+        (
+            b'lambda\tf\tf_squared\tbrute_admissible\tbrute_self_conjugate\n[4]\t1\t1\t1\t1\n'
+            b'[3,1]\t3\t9\t9\t3\n[2,2]\t2\t4\t4\t2\n[2,1,1]\t3\t9\t9\t3\n'
+        ),
+        id="paths-per-shape-tsv-ell-4",
     ),
     pytest.param(
         "count paths --ell 3 --k 3 --per-shape --format json",
@@ -124,6 +151,18 @@ GOLDEN = [
         id="self-conjugate-json",
     ),
     pytest.param(
+        "count self-conjugate --ell 4 --k 3 --method formula",
+        None, EXIT_OK,
+        b'9\n',
+        id="self-conjugate-formula",
+    ),
+    pytest.param(
+        "count self-conjugate --ell 4 --k 3 --method brute",
+        None, EXIT_OK,
+        b'9\n',
+        id="self-conjugate-brute",
+    ),
+    pytest.param(
         # the per-shape table is count paths --per-shape's alone
         "count self-conjugate --ell 3 --k 3 --per-shape",
         None, EXIT_USAGE,
@@ -135,6 +174,18 @@ GOLDEN = [
         None, EXIT_OK,
         b'429\n',
         id="avoiders-tsv",
+    ),
+    pytest.param(
+        "count avoiders --ell 7 --k 2 --method brute",
+        None, EXIT_OK,
+        b'429\n',
+        id="avoiders-brute",
+    ),
+    pytest.param(
+        "count avoiders --ell 7 --k 2 --method formula",
+        None, EXIT_OK,
+        b'429\n',
+        id="avoiders-formula",
     ),
     pytest.param(
         "count avoiders --ell 5 --k 4 --format json",
@@ -161,6 +212,12 @@ GOLDEN = [
         id="mult-tsv",
     ),
     pytest.param(
+        "mult --n 7 --k 3 --ell 3 --format tsv",
+        None, EXIT_OK,
+        b'gamma\t[3,2,1,0,0,1,2]\npairings\t[1,0,0,1,1,0,0]\nmultiplicity\t6\n',
+        id="mult-tsv-n-7",
+    ),
+    pytest.param(
         "map tau --k 4",
         TABLEAU, EXIT_OK,
         b'{"ell": 6, "k": 4, "paths": ["RURRRURUUURU", "RURURURURURU", "RURUUURRRURU"]}\n',
@@ -173,6 +230,18 @@ GOLDEN = [
         id="tau-tsv",
     ),
     pytest.param(
+        "map tau",
+        "[[1],[2],[3]]", EXIT_OK,
+        b'{"ell": 3, "k": 3, "paths": ["RURURU", "RUURRU"]}\n',
+        id="tau-default-k",
+    ),
+    pytest.param(
+        "map tau --k 3 --format tsv",
+        "[[1,2]]", EXIT_OK,
+        b'RRUU\nRRUU\n',
+        id="tau-tsv-one-row",
+    ),
+    pytest.param(
         "map sigma",
         SEQUENCE, EXIT_OK,
         b'[[1, 3], [2, 6], [4], [5]]\n',
@@ -183,6 +252,12 @@ GOLDEN = [
         SEQUENCE, EXIT_OK,
         b'1\t3\n2\t6\n4\n5\n',
         id="sigma-tsv",
+    ),
+    pytest.param(
+        "map sigma --format tsv",
+        '{"ell": 2, "k": 3, "paths": ["RRUU", "RRUU"]}', EXIT_OK,
+        b'1\t2\n',
+        id="sigma-tsv-one-row",
     ),
     pytest.param(
         "lds 26873415",
@@ -201,6 +276,12 @@ GOLDEN = [
         None, EXIT_OK,
         b'{"word": [2, 6, 8, 7, 3, 4, 1, 5], "lds": 4}\n',
         id="lds-json",
+    ),
+    pytest.param(
+        "lds 312 --format json",
+        None, EXIT_OK,
+        b'{"word": [3, 1, 2], "lds": 2}\n',
+        id="lds-json-312",
     ),
     pytest.param(
         "verify --ell-max 2 --k-max 3",
@@ -499,6 +580,26 @@ USAGE_GOLDEN = [
         b'error: --max-height must be >= 2, got 1\n',
         id="max-height-below-2",
     ),
+    pytest.param(
+        "mult --n 6 --k 3 --ell 4",
+        b'error: ell must satisfy 1 <= ell <= floor(n/2) = 3, got 4\n',
+        id="mult-ell-out-of-range",
+    ),
+    pytest.param(
+        "lds 104",
+        b'error: not a permutation of 1..3: (1, 0, 4)\n',
+        id="lds-not-a-permutation",
+    ),
+    pytest.param(
+        "verify --ell-max 0 --k-max 3",
+        b'error: --ell-max must be >= 1, got 0\n',
+        id="verify-ell-max-below-1",
+    ),
+    pytest.param(
+        "verify --ell-max 3 --k-max 1",
+        b'error: --k-max must be >= 2, got 1\n',
+        id="verify-k-max-below-2",
+    ),
 ]
 
 
@@ -509,75 +610,7 @@ def test_usage_error_golden(capsysbinary, monkeypatch, argv, err):
     assert capsysbinary.readouterr() == (b'', err)
 
 
-class TestCountTableaux:
-    def test_scalar_tsv(self, capsys):
-        code, out, _ = run_main(capsys, "count", "tableaux", "--ell", "6", "--max-height", "5")
-        assert code == EXIT_OK
-        assert out.strip() == "75"
-
-    def test_scalar_json(self, capsys):
-        code, out, _ = run_main(
-            capsys, "count", "tableaux", "--ell", "5", "--max-height", "4", "--format", "json"
-        )
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload == {"ell": 5, "max_height": 4, "count": "25"}
-
-    def test_per_shape_table(self, capsys):
-        code, out, _ = run_main(
-            capsys, "count", "tableaux", "--ell", "5", "--max-height", "4", "--per-shape"
-        )
-        assert code == EXIT_OK
-        lines = out.strip().splitlines()
-        assert lines[0] == "lambda\tf"
-        assert lines[1] == "[5]\t1"
-        assert lines[-1] == "total\t25"
-        body = [line.split("\t") for line in lines[1:-1]]
-        assert [int(f) for _, f in body] == [1, 4, 5, 6, 5, 4]
-
-
 class TestCountPaths:
-    @pytest.mark.parametrize("method", ["formula", "brute"])
-    def test_admissible_scalar(self, capsys, method):
-        code, out, _ = run_main(
-            capsys, "count", "paths", "--ell", "4", "--k", "3", "--method", method
-        )
-        assert code == EXIT_OK
-        assert out.strip() == str(syt_sum_squares(4, 3))
-
-    @pytest.mark.parametrize("method", ["formula", "brute"])
-    def test_self_conjugate_scalar(self, capsys, method):
-        code, out, _ = run_main(
-            capsys, "count", "self-conjugate", "--ell", "4", "--k", "3", "--method", method
-        )
-        assert code == EXIT_OK
-        assert out.strip() == str(syt_sum(4, 3))
-
-    def test_per_shape_columns(self, capsys):
-        code, out, _ = run_main(
-            capsys, "count", "paths", "--ell", "4", "--k", "3", "--per-shape"
-        )
-        assert code == EXIT_OK
-        lines = out.strip().splitlines()
-        assert lines[0] == "lambda\tf\tf_squared\tbrute_admissible\tbrute_self_conjugate"
-        for line in lines[1:]:
-            _, f, f2, adm, fixed = line.split("\t")
-            assert int(f2) == int(f) ** 2
-            assert int(adm) == int(f2)
-            assert int(fixed) == int(f)
-
-    def test_per_shape_json(self, capsys):
-        code, out, _ = run_main(
-            capsys, "count", "paths", "--ell", "3", "--k", "3", "--per-shape",
-            "--format", "json",
-        )
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert [row["partition"] for row in payload["per_shape"]] == [[3], [2, 1], [1, 1, 1]]
-        for row in payload["per_shape"]:
-            assert row["brute_admissible"] == row["f_squared"]
-            assert row["brute_self_conjugate"] == row["f"]
-
     @pytest.mark.parametrize("verb", ["paths"])
     @pytest.mark.parametrize("ell", ["3", "9"])
     def test_per_shape_refuses_formula(self, capsys, verb, ell):
@@ -605,21 +638,6 @@ class TestCountPaths:
 
 
 class TestCountAvoiders:
-    @pytest.mark.parametrize("method", ["brute", "rsk", "formula"])
-    def test_catalan_entry(self, capsys, method):
-        code, out, _ = run_main(
-            capsys, "count", "avoiders", "--ell", "7", "--k", "2", "--method", method
-        )
-        assert code == EXIT_OK
-        assert out.strip() == "429"
-
-    def test_json_metadata(self, capsys):
-        code, out, _ = run_main(
-            capsys, "count", "avoiders", "--ell", "5", "--k", "4", "--format", "json"
-        )
-        assert code == EXIT_OK
-        assert json.loads(out) == {"ell": 5, "k": 4, "method": "formula", "count": "119"}
-
     @pytest.mark.parametrize("method, ell, code", [
         ("brute", 10, EXIT_OK), ("brute", 11, EXIT_GUARD),
         ("rsk", 9, EXIT_OK), ("rsk", 10, EXIT_GUARD),
@@ -636,72 +654,7 @@ class TestCountAvoiders:
             assert f"method '{method}'" in err
 
 
-class TestMult:
-    def test_json_golden(self, capsys):
-        code, out, _ = run_main(capsys, "mult", "--n", "10", "--k", "4", "--ell", "5")
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload == {
-            "n": 10,
-            "k": 4,
-            "ell": 5,
-            "gamma": [5, 4, 3, 2, 1, 0, 1, 2, 3, 4],
-            "pairings": [2, 0, 0, 0, 0, 2, 0, 0, 0, 0],
-            "multiplicity": "119",
-        }
-
-    def test_tsv_layout(self, capsys):
-        code, out, _ = run_main(
-            capsys, "mult", "--n", "7", "--k", "3", "--ell", "3", "--format", "tsv"
-        )
-        assert code == EXIT_OK
-        lines = out.strip().splitlines()
-        assert lines[0] == "gamma\t[3,2,1,0,0,1,2]"
-        assert lines[2].startswith("multiplicity\t")
-
-    def test_out_of_range_ell(self, capsys):
-        code, out, err = run_main(capsys, "mult", "--n", "6", "--k", "3", "--ell", "4")
-        assert code == EXIT_USAGE
-        assert "floor(n/2)" in err
-
-
 class TestMap:
-    def test_tau_then_sigma_pipe(self, capsys, monkeypatch):
-        tableau = [[1, 3], [2, 6], [4], [5]]
-        code, out, _ = run_main_stdin(
-            capsys, monkeypatch, json.dumps(tableau), "map", "tau", "--k", "4"
-        )
-        assert code == EXIT_OK
-        sequence = json.loads(out)
-        assert sequence == {
-            "ell": 6,
-            "k": 4,
-            "paths": ["RURRRURUUURU", "RURURURURURU", "RURUUURRRURU"],
-        }
-        code, out, _ = run_main_stdin(capsys, monkeypatch, json.dumps(sequence), "map", "sigma")
-        assert code == EXIT_OK
-        assert json.loads(out) == tableau
-
-    def test_tau_default_k_is_height(self, capsys, monkeypatch):
-        code, out, _ = run_main_stdin(capsys, monkeypatch, "[[1],[2],[3]]", "map", "tau")
-        assert code == EXIT_OK
-        assert json.loads(out)["k"] == 3
-
-    def test_tau_tsv_lists_paths(self, capsys, monkeypatch):
-        code, out, _ = run_main_stdin(
-            capsys, monkeypatch, "[[1,2]]", "map", "tau", "--k", "3", "--format", "tsv"
-        )
-        assert code == EXIT_OK
-        assert out.splitlines() == ["RRUU", "RRUU"]
-
-    def test_sigma_tsv_lists_rows(self, capsys, monkeypatch):
-        payload = {"ell": 2, "k": 3, "paths": ["RRUU", "RRUU"]}
-        code, out, _ = run_main_stdin(
-            capsys, monkeypatch, json.dumps(payload), "map", "sigma", "--format", "tsv"
-        )
-        assert code == EXIT_OK
-        assert out.splitlines() == ["1\t2"]
-
     def test_sigma_refuses_k_before_reading_stdin(self, capsys, monkeypatch):
         # --k is tau's path count; sigma reads k off its input
         stdin = io.StringIO(SEQUENCE)
@@ -754,26 +707,6 @@ class TestMap:
 
 
 class TestLds:
-    def test_word_argument(self, capsys):
-        code, out, _ = run_main(capsys, "lds", "26873415")
-        assert code == EXIT_OK
-        assert out.strip() == "4"
-
-    def test_word_on_stdin(self, capsys, monkeypatch):
-        code, out, _ = run_main_stdin(capsys, monkeypatch, "26873415\n", "lds")
-        assert code == EXIT_OK
-        assert out.strip() == "4"
-
-    def test_json_format(self, capsys):
-        code, out, _ = run_main(capsys, "lds", "312", "--format", "json")
-        assert code == EXIT_OK
-        assert json.loads(out) == {"word": [3, 1, 2], "lds": 2}
-
-    def test_bad_word(self, capsys):
-        code, _, err = run_main(capsys, "lds", "104")
-        assert code == EXIT_USAGE
-        assert "error:" in err
-
     @pytest.mark.parametrize("word", ["３１２", "٣١٢", "3²1"], ids=["fullwidth", "arabic-indic", "superscript"])
     @pytest.mark.parametrize("source", ["argument", "stdin"])
     def test_digits_outside_ascii_are_usage_errors(self, capsys, monkeypatch, word, source):

@@ -2,7 +2,9 @@
 example runs as written, the two version strings agree, a guard is lifted
 only by the call's own allow_large, never by the environment, and the value
 types refuse bad input with fixed messages and keep what they derive out of
-their fields. Every private helper in the package has a caller."""
+their fields. Every private helper in the package has a caller. No test
+module imports another, and the shared oracles in tests/conftest.py import
+no private latmult name."""
 
 import ast
 import dataclasses
@@ -153,3 +155,32 @@ def test_every_private_helper_is_loaded():
               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert helpers
     assert [name for name in helpers if name not in loaded] == []
+
+
+def _imported(node) -> list[str]:
+    """Each dotted name an import statement reads: module.name for a from-import,
+    with the module left blank when the import is relative."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_no_test_module_imports_another():
+    """Shared oracles live in tests/conftest.py, so no file under tests/
+    imports a test_ module."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted((ROOT / "tests").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if any(part.startswith("test_") for name in _imported(node) for part in name.split("."))]
+    assert found == []
+
+
+def test_conftest_imports_no_private_name():
+    """The shared oracles check the package from outside: tests/conftest.py
+    imports no _-prefixed latmult name."""
+    tree = ast.parse((ROOT / "tests" / "conftest.py").read_text())
+    private = [name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for name in _imported(node)
+               if name.split(".")[0] == "latmult" and name.rsplit(".", 1)[1].startswith("_")]
+    assert private == []
