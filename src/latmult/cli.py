@@ -225,7 +225,10 @@ def _read_stdin(args) -> str:
 def cmd_map(args) -> Output:
     if args.direction == "sigma" and args.k is not None:
         raise ValueError("--k is for map tau only")
-    payload = json.loads(_read_stdin(args))
+    try:
+        payload = json.loads(_read_stdin(args))
+    except RecursionError:  # the input's depth, not a fault of the package
+        raise ValueError("JSON nested too deeply") from None
     if args.direction == "tau":
         x = serialize.tableau_from_json(payload)
         k = args.k if args.k is not None else max(2, x.shape.height)

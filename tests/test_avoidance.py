@@ -18,7 +18,6 @@ import hypothesis.strategies as st
 
 from latmult import (
     Permutation,
-    ResourceLimitError,
     count_avoiders,
     lds_length,
     rsk,
@@ -368,19 +367,6 @@ class TestCountAvoiders:
         finally:
             sys.setrecursionlimit(limit)
         assert count == syt_sum_squares(12, 11) == 479001599
-
-    def test_guard_on_brute_methods(self):
-        with pytest.raises(ResourceLimitError):
-            count_avoiders(11, 3, "brute")
-        with pytest.raises(ResourceLimitError):
-            count_avoiders(11, 3, "rsk")
-        # each route has its own bound: brute reaches one letter past rsk
-        assert count_avoiders(10, 4, "brute") == syt_sum_squares(10, 4)
-        with pytest.raises(ResourceLimitError):
-            count_avoiders(10, 4, "rsk")
-        assert count_avoiders(9, 2, "rsk") == catalan(9)
-        # formula route has no factorial blowup and needs no guard
-        assert count_avoiders(11, 3, "formula") == syt_sum_squares(11, 3)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):

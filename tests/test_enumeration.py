@@ -20,7 +20,6 @@ from latmult import (
     LatticePath,
     Partition,
     PathSequence,
-    ResourceLimitError,
     count_by_type,
     count_sequences,
     count_syt,
@@ -271,17 +270,6 @@ class TestClosedForms:
 
 
 class TestGuards:
-    def test_oversized_rejected(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_admissible(7, 3)
-        with pytest.raises(ResourceLimitError):
-            count_sequences(3, 6)
-
-    def test_override_parameter(self):
-        admissible, fixed = count_sequences(3, 6, allow_large=True)
-        assert admissible == syt_sum_squares(3, 6)
-        assert fixed == syt_sum(3, 6)
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             enumerate_admissible(0, 3)

@@ -1,16 +1,16 @@
 """The package surface: every exported name resolves, README's Library
-example runs as written, the two version strings agree, a guard is lifted
-only by the call's own allow_large, never by the environment, and the value
-types refuse bad input with fixed messages and keep what they derive out of
-their fields. Every private helper in the package has a caller. No test
-module imports another, and the shared oracles in tests/conftest.py import
-no private latmult name."""
+example runs as written, the two version strings agree, the two guards
+whose refusal no command line gives refuse with their fixed messages and are
+lifted only by the call's own allow_large, never by the environment
+(tests/test_cli.py's GUARD_GOLDEN pins each refusal the command line gives),
+and the value types refuse bad input with fixed messages and keep what they
+derive out of their fields. Every private helper in the package has a
+caller. No test module imports another, and the shared oracles in
+tests/conftest.py import no private latmult name."""
 
 import ast
 import dataclasses
-import io
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -22,12 +22,8 @@ from latmult import (
     ResourceLimitError,
     StandardTableau,
     cli,
-    count_avoiders,
-    count_by_type,
-    count_sequences,
-    enumerate_admissible,
+    enumerate_self_conjugate,
     enumerate_syt,
-    run_verification,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,39 +69,20 @@ def test_version_matches_pyproject():
     assert declared.group(1) == latmult.__version__
 
 
-# The variable that lifted every guard before 0.4.0
-REMOVED_OVERRIDE = "LATMULT_GUARD_OVERRIDE"
-
-
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda: count_sequences(7, 3), id="count_sequences"),
-    pytest.param(lambda: count_by_type(7, 3), id="count_by_type"),
-    pytest.param(lambda: enumerate_admissible(7, 3), id="enumerate_admissible"),
-    pytest.param(lambda: count_avoiders(11, 2, "brute"), id="avoiders-brute"),
-    pytest.param(lambda: count_avoiders(10, 2, "rsk"), id="avoiders-rsk"),
-    pytest.param(lambda: enumerate_syt(Partition((7, 6))), id="enumerate_syt"),
-    pytest.param(lambda: run_verification(7, 2), id="run_verification"),
+# Each guard whose refusal no argv gives, with its one message
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: enumerate_self_conjugate(7, 3),
+                 "enumeration at ell=7, k=3 exceeds the default guard (ell <= 6, k <= 5)",
+                 id="enumerate_self_conjugate"),
+    pytest.param(lambda: enumerate_syt(Partition((7, 6))),
+                 "partition size 13 exceeds the tableau guard (size <= 12)", id="enumerate_syt"),
 ])
-def test_environment_lifts_no_guard(monkeypatch, call):
-    monkeypatch.setenv(REMOVED_OVERRIDE, "1")
-    with pytest.raises(ResourceLimitError):
+def test_environment_lifts_no_guard(monkeypatch, call, message):
+    # the variable that lifted every guard before 0.4.0 lifts none
+    monkeypatch.setenv("LATMULT_GUARD_OVERRIDE", "1")
+    suffix = "; pass allow_large=True (CLI: --allow-large)"
+    with pytest.raises(ResourceLimitError, match=f"^{re.escape(message + suffix)}$"):
         call()
-
-
-@pytest.mark.parametrize("argv", [
-    pytest.param(["count", "paths", "--ell", "7", "--k", "3", "--method", "brute"],
-                 id="count-paths-brute"),
-    pytest.param(["map", "tau", "--k", "5"], id="map-tau"),
-])
-def test_environment_lifts_no_cli_guard(capsys, monkeypatch, argv):
-    monkeypatch.setenv(REMOVED_OVERRIDE, "1")
-    # at a bound of 12 cells a 4-cell tableau does not fit with 4 paths
-    monkeypatch.setattr(cli, "TAU_GUARD_CELLS", 12)
-    monkeypatch.setattr(sys, "stdin", io.StringIO("[[1,2],[3,4]]"))
-    assert cli.main(argv) == cli.EXIT_GUARD
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("resource guard: ")
 
 
 # Each bad input with the one message its constructor gives, checks in order:
